@@ -19,18 +19,23 @@ bench:
 	$(GO) test -run xxx -bench 'BenchmarkTelemetryOverhead' ./internal/telemetry/
 	$(GO) test -run xxx -bench 'BenchmarkSimulator' -benchtime 30x .
 
+# NEXT_BENCH is the next free BENCH_<n>.json: one past the highest n
+# recorded, so a new run never overwrites history.
+NEXT_BENCH = BENCH_$(shell ls BENCH_*.json 2>/dev/null | sed -n 's/^BENCH_\([0-9]*\)\.json$$/\1/p' | sort -n | awk 'END { print $$1 + 1 }').json
+
 # Benchmark-regression tracker: runs the pinned benchmark set, records
-# BENCH_8.json with an environment manifest, and fails on a >15%
-# regression against the newest prior BENCH_*.json (see DESIGN.md §10).
+# the next free BENCH_<n>.json with an environment manifest, and fails
+# on a >15% regression against the newest prior BENCH_*.json taken on
+# the same CPU count and GOMAXPROCS (see DESIGN.md §10).
 bench-track:
-	$(GO) run ./cmd/bench -out BENCH_8.json
+	$(GO) run ./cmd/bench -out $(NEXT_BENCH)
 
 # Continuous profiling: runs the pinned benchmarks under CPU+alloc
-# profiling, writes PROF_<n>.json (top-N attribution tables decoded by
-# internal/pprofparse), and runs the alloc-budget and hotspot-diff
-# gates (see DESIGN.md §11).
+# profiling, writes the next free BENCH_<n>.json plus PROF_<n>.json
+# (top-N attribution tables decoded by internal/pprofparse), and runs
+# the alloc-budget and hotspot-diff gates (see DESIGN.md §11).
 profile:
-	$(GO) run ./cmd/bench -profile -out BENCH_8.json
+	$(GO) run ./cmd/bench -profile -out $(NEXT_BENCH)
 
 fmt:
 	gofmt -w .

@@ -515,7 +515,8 @@ func newestReport(dir, exclude string) (*Report, string, error) {
 
 // compareNewest gates the newest BENCH file against its predecessor.
 // With fewer than two files the gate is skipped cleanly — exit 0 —
-// so fresh checkouts pass.
+// so fresh checkouts pass; with a changed environment the newest file
+// starts a new baseline (see gate).
 func compareNewest(dir string, threshold float64) error {
 	files, err := benchFiles(dir)
 	if err != nil {
@@ -558,10 +559,11 @@ func gate(prior, cur *Report, priorName string, threshold float64) error {
 		fmt.Println("quick-mode report in comparison; regression gate skipped")
 		return nil
 	}
-	if prior.Profiled != cur.Profiled {
-		// Profiler overhead makes the timings incomparable; the
-		// allocation budgets are self-contained and still apply.
-		fmt.Println("profiling differs between reports; ns/op gate skipped (alloc budgets still apply)")
+	if why := incomparable(prior, cur); why != "" {
+		// Timings from another machine shape or under the profiler are
+		// neither a pass nor a regression; the allocation budgets are
+		// self-contained and still apply.
+		fmt.Println(why + "; ns/op gate skipped (alloc budgets still apply)")
 		if breaches := budgetBreaches(cur); len(breaches) > 0 {
 			return fmt.Errorf("%d allocation budget breach(es):\n  %s",
 				len(breaches), joinLines(breaches))
@@ -596,6 +598,21 @@ func gate(prior, cur *Report, priorName string, threshold float64) error {
 	}
 	fmt.Printf("no regressions vs %s (threshold %.0f%%)\n", priorName, 100*threshold)
 	return nil
+}
+
+// incomparable names why cur's timings cannot be judged against
+// prior's ("" when they can): a different CPU count or GOMAXPROCS
+// starts a new baseline, and profiler overhead inflates ns/op.
+func incomparable(prior, cur *Report) string {
+	p, c := prior.Env, cur.Env
+	if p.CPUs != c.CPUs || p.GOMAXPROCS != c.GOMAXPROCS {
+		return fmt.Sprintf("new baseline (environment changed: cpus %d -> %d, gomaxprocs %d -> %d)",
+			p.CPUs, c.CPUs, p.GOMAXPROCS, c.GOMAXPROCS)
+	}
+	if prior.Profiled != cur.Profiled {
+		return "profiling differs between reports"
+	}
+	return ""
 }
 
 func joinLines(lines []string) string {

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/json"
+	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -123,5 +126,86 @@ func TestGateSkipsNsWhenProfilingDiffers(t *testing.T) {
 	cur.Results[0].AllocsPerOp, cur.Results[0].AllocsBudget = 200, 100
 	if err := gate(prior, cur, "BENCH_1.json", 0.15); err == nil {
 		t.Fatal("budget breach passed the gate on a profiled report")
+	}
+}
+
+// writeBench records rep as dir/name.
+func writeBench(t *testing.T, dir, name string, rep *Report) {
+	t.Helper()
+	b, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// captureStdout runs f and returns what it printed.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = orig }()
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	f()
+	w.Close()
+	return <-out
+}
+
+// TestCompareNewestLikeForLike: compareNewest gates a 30% ns/op
+// regression between reports from the same environment, but treats a
+// report from a different CPU count or GOMAXPROCS as a new baseline —
+// neither a pass nor a regression — while its alloc budgets still hold.
+func TestCompareNewestLikeForLike(t *testing.T) {
+	env := Env{GoVersion: "go1.24.0", OS: "linux", Arch: "amd64", CPUs: 1, GOMAXPROCS: 1}
+	prior := report(Result{Name: "sim.step", NsPerOp: 1000})
+	prior.Env = env
+
+	t.Run("same environment gates", func(t *testing.T) {
+		dir := t.TempDir()
+		cur := report(Result{Name: "sim.step", NsPerOp: 1300})
+		cur.Env = env
+		writeBench(t, dir, "BENCH_8.json", prior)
+		writeBench(t, dir, "BENCH_9.json", cur)
+		if err := compareNewest(dir, 0.15); err == nil || !strings.Contains(err.Error(), "regression") {
+			t.Fatalf("same-environment 30%% regression: err = %v, want a regression", err)
+		}
+	})
+
+	for _, changed := range []Env{
+		{GoVersion: env.GoVersion, OS: env.OS, Arch: env.Arch, CPUs: 2, GOMAXPROCS: 2},
+		{GoVersion: env.GoVersion, OS: env.OS, Arch: env.Arch, CPUs: 1, GOMAXPROCS: 2},
+	} {
+		t.Run("changed environment starts a baseline", func(t *testing.T) {
+			dir := t.TempDir()
+			cur := report(Result{Name: "sim.step", NsPerOp: 1300})
+			cur.Env = changed
+			writeBench(t, dir, "BENCH_8.json", prior)
+			writeBench(t, dir, "BENCH_9.json", cur)
+			var err error
+			out := captureStdout(t, func() { err = compareNewest(dir, 0.15) })
+			if err != nil {
+				t.Fatalf("changed environment was gated: %v", err)
+			}
+			if !strings.Contains(out, "new baseline (environment changed:") {
+				t.Errorf("output does not announce a new baseline:\n%s", out)
+			}
+
+			cur.Results[0].AllocsPerOp, cur.Results[0].AllocsBudget = 200, 100
+			writeBench(t, dir, "BENCH_9.json", cur)
+			captureStdout(t, func() { err = compareNewest(dir, 0.15) })
+			if err == nil {
+				t.Fatal("budget breach passed on a new-baseline report")
+			}
+		})
 	}
 }

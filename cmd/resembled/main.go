@@ -6,11 +6,13 @@
 //
 // Daemon mode:
 //
-//	resembled -addr 127.0.0.1:8080 -workers 4 -checkpoint state.ckpt
+//	resembled -addr 127.0.0.1:8080 -workers 4 -store-dir /var/lib/resemble
 //
-// serves the JSON API (POST /v1/run, GET /healthz /readyz /metrics,
-// POST /drain) until SIGINT/SIGTERM, then drains gracefully: admission
-// closes, in-flight simulations finish, a final checkpoint is written.
+// serves the JSON API (POST /v1/run, GET /healthz /readyz /stats
+// /metrics, POST /drain) until SIGINT/SIGTERM, then drains gracefully:
+// admission closes and in-flight simulations finish. With -store-dir,
+// runs checkpoint into the shared artifact store so a front door can
+// resume them elsewhere; the service counters are process-lifetime.
 //
 // Soak mode:
 //
@@ -18,11 +20,12 @@
 //
 // phases through zero-fault equivalence (service windows must be
 // byte-identical to a batch sim.Runner over the same requests), a
-// chaos window (stuck arm + failing checkpoint writer + slow handlers:
-// breakers must open, overload must shed with 503 + Retry-After,
-// readiness must flip), recovery (chaos off: readiness and breakers
-// must heal), and a drain audit (final checkpoint valid, goroutines
-// back to baseline). Any violated assertion exits nonzero.
+// chaos window (stuck arm + failing run-checkpoint writes + slow
+// handlers: breakers must open, overload must shed with 503 +
+// Retry-After, readiness must flip), recovery (chaos off: readiness and
+// breakers must heal), and a drain audit (injected checkpoint failures
+// counted, later checkpoints landed, artifact store sweeps clean,
+// goroutines back to baseline). Any violated assertion exits nonzero.
 package main
 
 import (
@@ -47,11 +50,8 @@ func main() {
 		queue      = flag.Int("queue", 32, "admission queue depth")
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-request deadline")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound")
-		ckpt       = flag.String("checkpoint", "", "service checkpoint path (empty = off)")
-		ckptEvery  = flag.Duration("checkpoint-every", 15*time.Second, "periodic checkpoint interval")
 		storeDir   = flag.String("store-dir", "", "durable artifact store root (empty = off): runs checkpoint into it, /v1/run accepts resume_from, and the trace cache gains a content-addressed disk tier; safe to share with other resembled/resemblefront processes on a local filesystem")
 		runCkp     = flag.Int("run-checkpoint-every", 0, "accesses between per-run store checkpoints when -store-dir is set (0 = engine default)")
-		resume     = flag.Bool("resume", false, "restore service counters from -checkpoint")
 		accesses   = flag.Int("accesses", 20000, "default trace length per request")
 		telDir     = flag.String("telemetry", "", "telemetry output directory (empty = off)")
 		chromeOut  = flag.String("trace-chrome", "", "write the span trace as Chrome trace-event JSON (chrome://tracing, Perfetto) to this file on exit")
@@ -104,7 +104,7 @@ func main() {
 			os.Exit(1)
 		}
 		if !rep.Clean() {
-			logf("resembled: store recovery sweep repaired: %s", rep)
+			logger.Warn("resembled: store recovery sweep repaired", "report", rep.String())
 		}
 		store = st
 		// Give trace synthesis a durable second tier: one generation of
@@ -119,9 +119,6 @@ func main() {
 		RequestTimeout:     *timeout,
 		DrainTimeout:       *drainT,
 		DefaultAccesses:    *accesses,
-		CheckpointPath:     *ckpt,
-		CheckpointEvery:    *ckptEvery,
-		Resume:             *resume,
 		Store:              store,
 		RunCheckpointEvery: *runCkp,
 		Telemetry:          tel,
@@ -137,23 +134,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "resembled: %v\n", err)
 		os.Exit(1)
 	}
-	logf("resembled: serving on %s (pid %d); SIGINT/SIGTERM drains", s.Addr(), os.Getpid())
+	logger.Info("resembled: serving; SIGINT/SIGTERM drains", "addr", s.Addr(), "pid", os.Getpid())
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigs:
-		logf("resembled: %v received; draining", sig)
+		logger.Info("resembled: signal received; draining", "signal", sig.String())
 		// A second signal aborts the drain.
 		go func() {
 			<-sigs
-			logf("resembled: second signal; exiting without full drain")
+			logger.Warn("resembled: second signal; exiting without full drain")
 			os.Exit(1)
 		}()
 	case <-s.Drained():
 		// POST /drain already ran the full drain; Close below is an
 		// idempotent no-op and the process exits instead of lingering.
-		logf("resembled: drained via POST /drain; exiting")
+		logger.Info("resembled: drained via POST /drain; exiting")
 	}
 	if err := s.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "resembled: drain: %v\n", err)

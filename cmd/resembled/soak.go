@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,7 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"resemble/internal/checkpoint"
+	"resemble/internal/cas"
 	"resemble/internal/core"
 	"resemble/internal/resilience"
 	"resemble/internal/service"
@@ -361,18 +360,23 @@ func (k *soak) auditCapture(addr string) {
 }
 
 // phaseChaosAndRecovery runs the fault window — stuck arm, failing
-// checkpoint writer, slow handlers under a tiny queue — asserts every
-// resilience mechanism engages, then lifts the chaos and asserts the
-// service heals and drains to a valid final checkpoint.
+// run-checkpoint writes, slow handlers under a tiny queue — asserts
+// every resilience mechanism engages, then lifts the chaos and asserts
+// the service heals, drains, and leaves its artifact store clean.
 func (k *soak) phaseChaosAndRecovery() {
-	k.cfg.logf("soak: phase 2: chaos window (stuck arm, failing checkpoint writer, slow handlers)")
+	k.cfg.logf("soak: phase 2: chaos window (stuck arm, failing run-checkpoint writes, slow handlers)")
 	dir, err := os.MkdirTemp("", "resembled-soak")
 	if err != nil {
 		k.failf("tempdir: %v", err)
 		return
 	}
 	defer os.RemoveAll(dir)
-	ckpt := filepath.Join(dir, "service.ckpt")
+	storeDir := filepath.Join(dir, "store")
+	store, _, err := cas.Open(storeDir)
+	if err != nil {
+		k.failf("store: %v", err)
+		return
+	}
 
 	chaos := &service.Chaos{
 		StuckArm:           "bo",
@@ -395,11 +399,11 @@ func (k *soak) phaseChaosAndRecovery() {
 		// below embeds a real pre-incident window.
 		HistoryEvery: 50 * time.Millisecond,
 		Profile:      service.ProfileConfig{Dir: filepath.Join(dir, "profiles"), Ring: 2},
-		// Periodic checkpoints tick inside the chaos window so the
-		// injected write failures actually hit the retry pipeline.
-		CheckpointPath:  ckpt,
-		CheckpointEvery: 200 * time.Millisecond,
-		Chaos:           chaos,
+		// Dense run checkpoints so the injected write failures hit the
+		// first chaos run and later runs still checkpoint.
+		Store:              store,
+		RunCheckpointEvery: 512,
+		Chaos:              chaos,
 		ControllerConfig: func(req service.Request) core.Config {
 			cfg := core.DefaultConfig()
 			cfg.Seed = 1 + req.Seed
@@ -567,25 +571,29 @@ func (k *soak) phaseChaosAndRecovery() {
 	k.auditAttribution(s.Addr())
 	k.auditCapture(s.Addr())
 
-	// Drain: final checkpoint must land despite the injected write
-	// failures earlier (the retry layer absorbed them).
+	// Drain: the injected run-checkpoint failures cost durability only —
+	// later checkpoints landed and the store needs no repair.
 	k.cfg.logf("soak: phase 4: drain audit")
 	if err := s.Close(); err != nil {
 		k.failf("drain: %v", err)
 	}
 	st := s.Stats()
-	if st.CkpRetries < 2 {
-		k.failf("checkpoint retries = %d, want >= 2 (injected failures not exercised)", st.CkpRetries)
+	if st.RunCkpFailures < 2 {
+		k.failf("run checkpoint failures = %d, want >= 2 (injected failures not exercised)", st.RunCkpFailures)
 	} else {
-		k.passf("checkpoint writer retried %d times over injected failures", st.CkpRetries)
+		k.passf("run checkpoints absorbed %d injected write failures", st.RunCkpFailures)
 	}
-	f, err := checkpoint.ReadFile(ckpt)
-	switch {
-	case err != nil:
-		k.failf("final checkpoint: %v", err)
-	case !f.Has("service"):
-		k.failf("final checkpoint missing service section")
-	default:
-		k.passf("drained to a valid final checkpoint (%s)", fmt.Sprintf("%v", f.Sections()))
+	if st.RunCkpWrites == 0 {
+		k.failf("no run checkpoint landed after the injected failures")
+	} else {
+		k.passf("%d run checkpoints landed after the injected failures", st.RunCkpWrites)
+	}
+	if err := store.Close(); err != nil {
+		k.failf("store close: %v", err)
+	}
+	if _, rep, err := cas.Open(storeDir); err != nil || !rep.Clean() {
+		k.failf("store recovery sweep after drain: report %v, err %v", rep, err)
+	} else {
+		k.passf("drained with a clean artifact store")
 	}
 }

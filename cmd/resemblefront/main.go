@@ -13,7 +13,8 @@
 //	    -backends 127.0.0.1:8321,127.0.0.1:8322,127.0.0.1:8323
 //
 // serves POST /v1/run, GET /healthz /readyz /metrics /stats and POST
-// /drain until SIGINT/SIGTERM, then drains: admission closes,
+// /drain (the ops surface shared with resembled, internal/ops) until
+// SIGINT/SIGTERM, then drains: admission closes,
 // in-flight requests finish, and with -drain-backends the fleet is
 // quiesced in address order.
 //
@@ -145,6 +146,7 @@ func main() {
 			hedgeAfter:   o.hedgeAfter,
 			artifactsDir: o.soakArtifacts,
 			logf:         logf,
+			logger:       logger,
 		}))
 	}
 
@@ -165,7 +167,7 @@ func main() {
 			os.Exit(1)
 		}
 		if !rep.Clean() {
-			logf("resemblefront: store recovery sweep repaired: %s", rep)
+			logger.Warn("resemblefront: store recovery sweep repaired", "report", rep.String())
 		}
 		store = st
 	}
@@ -187,7 +189,6 @@ func main() {
 			Timeout:  o.probeTimeout,
 		},
 		Telemetry: tel,
-		Logf:      logf,
 		Logger:    logger,
 	})
 	if err != nil {
@@ -198,21 +199,21 @@ func main() {
 		fmt.Fprintf(os.Stderr, "resemblefront: %v\n", err)
 		os.Exit(1)
 	}
-	logf("resemblefront: routing on %s across %d backends (pid %d); SIGINT/SIGTERM drains",
-		f.Addr(), len(o.backends), os.Getpid())
+	logger.Info("resemblefront: routing; SIGINT/SIGTERM drains",
+		"addr", f.Addr(), "backends", len(o.backends), "pid", os.Getpid())
 
 	sigs := make(chan os.Signal, 2)
 	signal.Notify(sigs, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigs:
-		logf("resemblefront: %v received; draining", sig)
+		logger.Info("resemblefront: signal received; draining", "signal", sig.String())
 		go func() {
 			<-sigs
-			logf("resemblefront: second signal; exiting without full drain")
+			logger.Warn("resemblefront: second signal; exiting without full drain")
 			os.Exit(1)
 		}()
 	case <-f.Drained():
-		logf("resemblefront: drained via POST /drain; exiting")
+		logger.Info("resemblefront: drained via POST /drain; exiting")
 	}
 	if err := f.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "resemblefront: drain: %v\n", err)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"log/slog"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -30,6 +31,8 @@ type clusterSoakConfig struct {
 	// trace (stitched-kill.json) and their wedge-phase counterparts.
 	artifactsDir string
 	logf         func(string, ...any)
+	// logger receives the front doors' operational log lines.
+	logger *slog.Logger
 }
 
 // clusterSoak drives the phases and accumulates assertion failures.
@@ -247,7 +250,7 @@ func (k *clusterSoak) run() {
 		Telemetry:      frontTel,
 		HistoryEvery:   50 * time.Millisecond,
 		HistorySamples: 1200,
-		Logf:           k.cfg.logf,
+		Logger:         k.cfg.logger,
 	})
 	if err != nil {
 		k.failf("cluster.New: %v", err)
@@ -392,7 +395,7 @@ func (k *clusterSoak) run() {
 		Telemetry:      resumeTel,
 		HistoryEvery:   50 * time.Millisecond,
 		HistorySamples: 1200,
-		Logf:           k.cfg.logf,
+		Logger:         k.cfg.logger,
 	})
 	if err != nil {
 		k.failf("resume front: %v", err)
@@ -410,10 +413,6 @@ func (k *clusterSoak) run() {
 		return
 	}
 	owner := byAddr(seq[0])
-	// Earlier phases already ran store-backed runs on this backend, so
-	// gate the kill on checkpoint writes past a baseline, not on the
-	// cumulative counter.
-	ckpBase := owner.svc.Stats().RunCkpWrites
 	type resumeOutcome struct {
 		status int
 		out    service.Response
@@ -431,11 +430,16 @@ func (k *clusterSoak) run() {
 		_ = json.NewDecoder(resp.Body).Decode(&out)
 		resCh <- resumeOutcome{resp.StatusCode, out}
 	}()
+	// Gate the kill on this run's own checkpoints being durable in the
+	// store (two cursor tags plus latest). The owner's write counter is
+	// no gate: it also moves for any earlier run still winding down
+	// there, such as a hedge from phase 2 being cancelled.
+	ckpPrefix := service.CheckpointTagPrefix(service.RunKey(resumeReq))
 	ckpDeadline := time.Now().Add(60 * time.Second)
-	for owner.svc.Stats().RunCkpWrites < ckpBase+2 && time.Now().Before(ckpDeadline) {
+	for len(store.Tags(ckpPrefix)) < 3 && time.Now().Before(ckpDeadline) {
 		time.Sleep(2 * time.Millisecond)
 	}
-	if owner.svc.Stats().RunCkpWrites < ckpBase+2 {
+	if len(store.Tags(ckpPrefix)) < 3 {
 		k.failf("owner %s wrote no run checkpoints to kill against", seq[0])
 	}
 	owner.svc.Abort()

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"resemble/internal/cas"
+	"resemble/internal/ops"
 	"resemble/internal/resilience"
 	"resemble/internal/service"
 	"resemble/internal/telemetry"
@@ -76,13 +77,14 @@ type Config struct {
 	// doesn't fully know; accesses == 0 falls back to scratch retries).
 	Store *cas.Store
 
-	// Telemetry, when non-nil, carries the front door's registry
-	// metrics and receives every run's windows, merged in
+	// Telemetry, when non-nil, its registry carries the front door's
+	// counters and it receives every run's windows, merged in
 	// admission-seq order (the cluster determinism contract). It also
 	// turns on distributed tracing: every dispatch attempt carries a
 	// trace-parent header, and the backend's span tree is stitched
 	// under the front door's request span (see DESIGN.md §15). Nil
-	// disables both; runs are still routed.
+	// disables both; runs are still routed and the counters live in a
+	// private registry.
 	Telemetry *telemetry.Collector
 	// HistoryEvery is the metrics-history sampling period (default
 	// telemetry.DefaultHistoryEvery); HistorySamples the ring size
@@ -93,9 +95,8 @@ type Config struct {
 	// IncidentMinInterval rate-limits automatic incident captures
 	// (default telemetry's 5s; manual captures always fire).
 	IncidentMinInterval time.Duration
-	// Logf receives operational log lines (nil discards them unless
-	// Logger is set); Logger receives structured request logs.
-	Logf   func(format string, args ...any)
+	// Logger receives the operational log lines and the structured
+	// request logs. Nil discards them.
 	Logger *slog.Logger
 }
 
@@ -121,41 +122,10 @@ func (c Config) withDefaults() Config {
 	if c.HistoryEvery <= 0 {
 		c.HistoryEvery = telemetry.DefaultHistoryEvery
 	}
-	if c.Logf == nil {
-		if lg := c.Logger; lg != nil {
-			c.Logf = func(format string, args ...any) { lg.Info(fmt.Sprintf(format, args...)) }
-		} else {
-			c.Logf = func(string, ...any) {}
-		}
-	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
 	}
 	return c
-}
-
-// backendCounters is the front door's per-backend accounting.
-type backendCounters struct {
-	served    atomic.Uint64 // successful responses
-	failovers atomic.Uint64 // failures here that moved the request on
-	hedges    atomic.Uint64 // hedge attempts launched here
-	retries   atomic.Uint64 // failover attempts launched here
-}
-
-// frontCounters is the front door's own always-on accounting.
-type frontCounters struct {
-	admitted, completed, failed atomic.Uint64
-	shed, rejected              atomic.Uint64
-	failovers, hedges           atomic.Uint64
-	hedgeWins, retriesDenied    atomic.Uint64
-	// Every hedge launch resolves to exactly one of won (its answer was
-	// used), lost (it finished, but after the winner) or cancelled (the
-	// winner's return aborted it mid-flight).
-	hedgeLost, hedgeCancelled atomic.Uint64
-	// resumedRetries counts failover attempts forwarded with
-	// resume_from pointing at the interrupted run's last durable
-	// checkpoint (requires Config.Store).
-	resumedRetries atomic.Uint64
 }
 
 // Front is the cluster coordinator: one HTTP front door that
@@ -181,12 +151,29 @@ type Front struct {
 
 	tokens chan struct{} // in-flight slots
 
-	stats   frontCounters
-	perBack map[string]*backendCounters
+	// reg is the single store of the front door's counters: the
+	// collector's registry with telemetry on, a private one otherwise.
+	// The handles below are resolved from it once in New. Every hedge
+	// launch resolves to exactly one of won (its answer was used), lost
+	// (it finished, but after the winner) or cancelled (the winner's
+	// return aborted it mid-flight); resumed retries are failover
+	// attempts forwarded with resume_from pointing at the interrupted
+	// run's last durable checkpoint (requires Config.Store).
+	reg                             *telemetry.Registry
+	mAdmitted, mCompleted, mFailed  *telemetry.Counter
+	mShed, mRejected                *telemetry.Counter
+	mFailovers, mHedges, mHedgeWins *telemetry.Counter
+	mHedgeLost, mHedgeCancelled     *telemetry.Counter
+	mRetriesDenied, mResumedRetries *telemetry.Counter
+	// Per-backend counters, keyed by backend address: successful
+	// responses, failures there that moved the request on, and hedge
+	// and failover attempts launched there.
+	mServed, mBackendFailovers map[string]*telemetry.Counter
+	mBackendHedges, mRetries   map[string]*telemetry.Counter
 
-	// history/recorder are non-nil iff Telemetry is configured.
-	history  *telemetry.History
+	// recorder is non-nil iff Telemetry is configured.
 	recorder *telemetry.FlightRecorder
+	ops      *ops.Surface[FleetIncident]
 	histStop chan struct{}
 	histDone chan struct{}
 
@@ -210,6 +197,10 @@ func New(cfg Config) (*Front, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("cluster: at least one backend is required")
 	}
+	reg := cfg.Telemetry.Registry()
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	f := &Front{
 		cfg:    cfg,
 		ring:   NewRing(cfg.Replicas),
@@ -224,29 +215,78 @@ func New(cfg Config) (*Front, error) {
 		client:   &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 4}},
 		httpDone: make(chan struct{}),
 		tokens:   make(chan struct{}, cfg.MaxInFlight),
-		perBack:  make(map[string]*backendCounters),
 		drained:  make(chan struct{}),
 		commits:  newCommitter(cfg.Telemetry),
 		start:    time.Now(),
+
+		reg:               reg,
+		mAdmitted:         reg.Counter("cluster.requests.admitted"),
+		mCompleted:        reg.Counter("cluster.requests.completed"),
+		mFailed:           reg.Counter("cluster.requests.failed"),
+		mShed:             reg.Counter("cluster.requests.shed"),
+		mRejected:         reg.Counter("cluster.requests.rejected"),
+		mFailovers:        reg.Counter("cluster.failovers"),
+		mHedges:           reg.Counter("cluster.hedges"),
+		mHedgeWins:        reg.Counter("cluster.hedge.wins"),
+		mHedgeLost:        reg.Counter("cluster.hedge.lost"),
+		mHedgeCancelled:   reg.Counter("cluster.hedge.cancelled"),
+		mRetriesDenied:    reg.Counter("cluster.retries.denied"),
+		mResumedRetries:   reg.Counter("cluster.failover.resumes"),
+		mServed:           make(map[string]*telemetry.Counter),
+		mBackendFailovers: make(map[string]*telemetry.Counter),
+		mBackendHedges:    make(map[string]*telemetry.Counter),
+		mRetries:          make(map[string]*telemetry.Counter),
 	}
 	for _, b := range cfg.Backends {
 		f.ring.Add(b)
-		if _, ok := f.perBack[b]; !ok {
-			f.perBack[b] = &backendCounters{}
-		}
+		f.mServed[b] = reg.Counter("cluster.backend.served." + b)
+		f.mBackendFailovers[b] = reg.Counter("cluster.backend.failovers." + b)
+		f.mBackendHedges[b] = reg.Counter("cluster.backend.hedges." + b)
+		f.mRetries[b] = reg.Counter("cluster.backend.retries." + b)
 	}
 	probe := cfg.Probe
-	probe.Logf = cfg.Logf
+	onTransition := probe.OnTransition
+	probe.OnTransition = func(backend string, from, to resilience.BreakerState) {
+		cfg.Logger.Info("cluster: backend transition", "backend", backend, "from", from.String(), "to", to.String())
+		if onTransition != nil {
+			onTransition(backend, from, to)
+		}
+	}
 	f.health = NewHealth(f.ring.Backends(), probe)
+	var history *telemetry.History
 	if cfg.Telemetry != nil {
 		// Front spans carry the "front" process label in stitched traces;
 		// adopted backend spans are stamped per backend at adoption.
 		cfg.Telemetry.SetProc("front")
-		f.history = telemetry.NewHistory(cfg.HistorySamples)
+		history = telemetry.NewHistory(cfg.HistorySamples)
 		f.recorder = telemetry.NewFlightRecorder(telemetry.RecorderConfig{
 			Process:     "resemblefront",
 			MinInterval: cfg.IncidentMinInterval,
-		}, cfg.Telemetry, f.history)
+		}, cfg.Telemetry, history)
+	}
+	f.ops = &ops.Surface[FleetIncident]{
+		State:        func() string { return f.State().String() },
+		Ready:        f.readiness,
+		Stats:        func() any { return f.Stats() },
+		Drain:        f.Drain,
+		DrainTimeout: cfg.DrainTimeout,
+		Snapshot:     f.metricsSnapshot,
+		Rules: []telemetry.LabelRule{
+			{Prefix: "cluster.backend.state", Label: "backend"},
+			{Prefix: "cluster.backend.queue.depth", Label: "backend"},
+			{Prefix: "cluster.backend.ejections", Label: "backend"},
+			{Prefix: "cluster.backend.transitions", Label: "backend"},
+			{Prefix: "cluster.backend.probe.failures", Label: "backend"},
+			{Prefix: "cluster.backend.served", Label: "backend"},
+			{Prefix: "cluster.backend.failovers", Label: "backend"},
+			{Prefix: "cluster.backend.hedges", Label: "backend"},
+			{Prefix: "cluster.backend.retries", Label: "backend"},
+		},
+		History:      history,
+		HistoryEvery: cfg.HistoryEvery,
+		Recorder:     f.recorder,
+		Incidents:    f.FleetIncidents,
+		Bundle:       f.assembleFleetBundle,
 	}
 	return f, nil
 }
@@ -283,81 +323,39 @@ func (f *Front) Start() error {
 	go func() {
 		defer close(f.httpDone)
 		if serr := f.srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
-			f.cfg.Logf("cluster: http server: %v", serr)
+			f.cfg.Logger.Error("cluster: http server", "err", serr)
 		}
 	}()
 	f.health.Start()
 	f.recorder.SetProcess("resemblefront " + f.Addr())
-	if f.history != nil {
+	if f.ops.History != nil {
 		f.histStop = make(chan struct{})
 		f.histDone = make(chan struct{})
-		go f.historyLoop()
+		go func() {
+			defer close(f.histDone)
+			f.ops.RecordHistory(f.histStop, nil)
+		}()
 	}
-	f.cfg.Logf("cluster: front door ready on %s over %d backends %v",
-		f.Addr(), f.ring.Len(), f.ring.Backends())
+	f.cfg.Logger.Info("cluster: front door ready", "addr", f.Addr(), "backends", f.ring.Backends())
 	return nil
-}
-
-// historyLoop samples the fleet exposition into the bounded history
-// ring every HistoryEvery until drain.
-func (f *Front) historyLoop() {
-	defer close(f.histDone)
-	f.history.Record(time.Now(), f.metricsSnapshot())
-	t := time.NewTicker(f.cfg.HistoryEvery)
-	defer t.Stop()
-	for {
-		select {
-		case now := <-t.C:
-			f.history.Record(now, f.metricsSnapshot())
-		case <-f.histStop:
-			return
-		}
-	}
 }
 
 // Handler returns the front door's HTTP API:
 //
-//	POST /v1/run                  route a simulation to its backend (failover/hedge)
-//	GET  /healthz                 front-door liveness
-//	GET  /readyz                  front-door readiness (503 draining/overloaded)
-//	GET  /metrics                 fleet-wide OpenMetrics exposition
-//	GET  /metrics/history         recent fleet metrics samples (JSON ring)
-//	GET  /stats                   front counters + per-backend health JSON
-//	GET  /debug/incidents         assembled fleet incident bundles
-//	POST /debug/incidents/capture manual fleet incident capture (synchronous)
-//	GET  /debug/flightrec         the front door's own recorder snapshot
-//	POST /drain                   graceful front-door drain (202)
+//	POST /v1/run  route a simulation to its backend (failover/hedge)
+//
+// plus the shared ops surface (see ops.Surface.Register): front-door
+// /healthz and /readyz (503 draining/overloaded), /stats (front
+// counters + per-backend health), the fleet-wide /metrics and its
+// /metrics/history ring, POST /drain, and the flight-recorder
+// endpoints — /debug/incidents lists assembled fleet bundles, POST
+// /debug/incidents/capture assembles one synchronously, and
+// /debug/flightrec is the front door's own recorder snapshot.
 func (f *Front) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", f.handleRun)
-	mux.HandleFunc("GET /healthz", f.handleHealthz)
-	mux.HandleFunc("GET /readyz", f.handleReadyz)
-	mux.HandleFunc("GET /metrics", f.handleMetrics)
-	mux.HandleFunc("GET /metrics/history", f.handleMetricsHistory)
-	mux.HandleFunc("GET /stats", f.handleStats)
-	mux.HandleFunc("GET /debug/incidents", f.handleIncidents)
-	mux.HandleFunc("POST /debug/incidents/capture", f.handleIncidentCapture)
-	mux.HandleFunc("GET /debug/flightrec", f.handleFlightRec)
-	mux.HandleFunc("POST /drain", f.handleDrain)
+	f.ops.Register(mux)
 	return mux
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
-
-// unavailable answers 503 with the uniform backpressure contract.
-func unavailable(w http.ResponseWriter, reason, msg string) {
-	w.Header().Set("Retry-After", "1")
-	writeJSON(w, http.StatusServiceUnavailable, map[string]string{
-		"status": "unavailable",
-		"reason": reason,
-		"error":  msg,
-	})
 }
 
 // RouteKey derives the consistent-hash key from the request's
@@ -372,17 +370,17 @@ func RouteKey(req service.Request) string {
 // handleRun admits, routes and answers one simulation request.
 func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 	if f.State() != service.Ready {
-		f.stats.rejected.Add(1)
-		unavailable(w, service.ReadyReasonDraining, "front door is draining")
+		f.mRejected.Inc()
+		ops.Unavailable(w, service.ReadyReasonDraining, "front door is draining")
 		return
 	}
 	select {
 	case f.tokens <- struct{}{}:
 	default:
-		f.stats.shed.Add(1)
+		f.mShed.Inc()
 		f.recorder.Trigger("shed.burst",
 			fmt.Sprintf("front door at %d in-flight requests", cap(f.tokens)))
-		unavailable(w, service.ReadyReasonOverloaded,
+		ops.Unavailable(w, service.ReadyReasonOverloaded,
 			fmt.Sprintf("front door at %d in-flight requests: shed", cap(f.tokens)))
 		return
 	}
@@ -390,16 +388,16 @@ func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, service.Response{Error: "bad request body: " + err.Error()})
+		ops.WriteJSON(w, http.StatusBadRequest, service.Response{Error: "bad request body: " + err.Error()})
 		return
 	}
 	var req service.Request
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeJSON(w, http.StatusBadRequest, service.Response{Error: "bad request body: " + err.Error()})
+		ops.WriteJSON(w, http.StatusBadRequest, service.Response{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if req.Workload == "" || req.Controller == "" {
-		writeJSON(w, http.StatusBadRequest, service.Response{Error: "workload and controller are required"})
+		ops.WriteJSON(w, http.StatusBadRequest, service.Response{Error: "workload and controller are required"})
 		return
 	}
 	// Windows ride back for the admission-seq merge whenever the front
@@ -413,7 +411,7 @@ func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	payload, err := json.Marshal(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, service.Response{Error: err.Error()})
+		ops.WriteJSON(w, http.StatusBadRequest, service.Response{Error: err.Error()})
 		return
 	}
 
@@ -431,10 +429,8 @@ func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	if a.status == http.StatusOK {
 		f.commits.commit(seq, a.resp.Windows)
-		f.stats.completed.Add(1)
-		if bc := f.perBack[a.backend]; bc != nil {
-			bc.served.Add(1)
-		}
+		f.mCompleted.Inc()
+		f.mServed[a.backend].Inc()
 		f.adoptAttemptSpans(a)
 		if !clientWantsWindows {
 			a.resp.Windows = nil
@@ -446,12 +442,12 @@ func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 			"seq", seq, "backend", a.backend, "hedged", a.hedged,
 			"workload", req.Workload, "controller", req.Controller,
 			"dur_ms", float64(time.Since(began))/float64(time.Millisecond))
-		writeJSON(w, http.StatusOK, a.resp)
+		ops.WriteJSON(w, http.StatusOK, a.resp)
 		return
 	}
 	// Terminal failure: the seq slot still advances so later runs merge.
 	f.commits.commit(seq, nil)
-	f.stats.failed.Add(1)
+	f.mFailed.Inc()
 	status := a.status
 	switch {
 	case status == 0 && errors.Is(a.err, context.DeadlineExceeded):
@@ -467,11 +463,11 @@ func (f *Front) handleRun(w http.ResponseWriter, r *http.Request) {
 		resp.Spans = nil
 	}
 	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", "1")
+		w.Header().Set("Retry-After", ops.RetryAfter)
 	}
 	f.cfg.Logger.Warn("request failed",
 		"seq", seq, "backend", a.backend, "status", status, "err", resp.Error)
-	writeJSON(w, status, resp)
+	ops.WriteJSON(w, status, resp)
 }
 
 // admit assigns the admission sequence number that fixes the request's
@@ -481,7 +477,7 @@ func (f *Front) admit() uint64 {
 	defer f.admitMu.Unlock()
 	seq := f.nextSeq
 	f.nextSeq++
-	f.stats.admitted.Add(1)
+	f.mAdmitted.Inc()
 	return seq
 }
 
@@ -547,21 +543,16 @@ func (f *Front) dispatch(ctx context.Context, key string, req service.Request, p
 	launch := func(hedged bool) {
 		b := order[launched]
 		launched++
-		bc := f.perBack[b]
 		p := payload
 		name := "attempt"
 		switch {
 		case hedged:
 			name = "hedge"
-			f.stats.hedges.Add(1)
-			if bc != nil {
-				bc.hedges.Add(1)
-			}
+			f.mHedges.Inc()
+			f.mBackendHedges[b].Inc()
 			f.recorder.Note("hedge", b)
 		case launched > 1:
-			if bc != nil {
-				bc.retries.Add(1)
-			}
+			f.mRetries[b].Inc()
 			// A failover retry means the previous backend's attempt died
 			// mid-run; resolve its freshest durable checkpoint (the
 			// checkpoint sink fires at interrupt and periodically, so one
@@ -594,7 +585,7 @@ func (f *Front) dispatch(ctx context.Context, key string, req service.Request, p
 			if a.ok() {
 				f.budget.Refund()
 				if a.hedged {
-					f.stats.hedgeWins.Add(1)
+					f.mHedgeWins.Inc()
 				}
 				return a
 			}
@@ -602,12 +593,10 @@ func (f *Front) dispatch(ctx context.Context, key string, req service.Request, p
 				return a
 			}
 			last = a
-			if bc := f.perBack[a.backend]; bc != nil && launched < len(order) {
-				bc.failovers.Add(1)
-			}
 			if launched < len(order) {
+				f.mBackendFailovers[a.backend].Inc()
 				if f.budget.Spend() {
-					f.stats.failovers.Add(1)
+					f.mFailovers.Inc()
 					if inc := f.recorder.Trigger("failover",
 						fmt.Sprintf("backend %s failed, retrying on %s", a.backend, order[launched])); inc != nil {
 						go f.assembleFleetBundle(*inc)
@@ -616,12 +605,12 @@ func (f *Front) dispatch(ctx context.Context, key string, req service.Request, p
 					outstanding++
 					continue
 				}
-				f.stats.retriesDenied.Add(1)
+				f.mRetriesDenied.Inc()
 				if inc := f.recorder.Trigger("retry.budget.exhausted",
 					fmt.Sprintf("no tokens left to retry past %s", a.backend)); inc != nil {
 					go f.assembleFleetBundle(*inc)
 				}
-				f.cfg.Logf("cluster: retry budget exhausted for %s", a.backend)
+				f.cfg.Logger.Warn("cluster: retry budget exhausted", "backend", a.backend)
 			}
 			if outstanding == 0 {
 				return last
@@ -655,7 +644,7 @@ func (f *Front) resumePayload(req service.Request) []byte {
 	if !ok {
 		// The run died before its first durable checkpoint: the retry
 		// replays from record zero, which determinism makes equivalent.
-		f.cfg.Logf("cluster: failover retries run %.12s… from scratch (no durable checkpoint)", key)
+		f.cfg.Logger.Info("cluster: failover retries run from scratch (no durable checkpoint)", "run", key[:12])
 		return nil
 	}
 	req.ResumeFrom = id.String()
@@ -663,8 +652,8 @@ func (f *Front) resumePayload(req service.Request) []byte {
 	if err != nil {
 		return nil
 	}
-	f.stats.resumedRetries.Add(1)
-	f.cfg.Logf("cluster: failover resumes run %.12s… from checkpoint %.12s…", key, req.ResumeFrom)
+	f.mResumedRetries.Inc()
+	f.cfg.Logger.Info("cluster: failover resumes run from checkpoint", "run", key[:12], "checkpoint", req.ResumeFrom[:12])
 	return p
 }
 
@@ -715,10 +704,10 @@ func (f *Front) accountHedge(a attempt, won bool) {
 		return
 	}
 	if errors.Is(a.err, context.Canceled) {
-		f.stats.hedgeCancelled.Add(1)
+		f.mHedgeCancelled.Inc()
 		return
 	}
-	f.stats.hedgeLost.Add(1)
+	f.mHedgeLost.Inc()
 }
 
 // adoptAttemptSpans stitches the winning backend's shipped span tree
@@ -741,24 +730,26 @@ func (f *Front) adoptAttemptSpans(a attempt) {
 	f.cfg.Telemetry.AdoptSpans(spans)
 }
 
-func (f *Front) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "state": f.State().String()})
-}
-
-func (f *Front) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+// readiness is the front door's /readyz decision: 503 while draining
+// or at the in-flight limit, with the same reasons the backends use.
+func (f *Front) readiness() (int, any) {
+	unavailable := func(reason, msg string) (int, any) {
+		return http.StatusServiceUnavailable, map[string]string{
+			"status": "unavailable", "reason": reason, "error": msg,
+		}
+	}
 	switch {
 	case f.State() != service.Ready:
-		unavailable(w, service.ReadyReasonDraining, "front door is draining")
+		return unavailable(service.ReadyReasonDraining, "front door is draining")
 	case len(f.tokens) >= cap(f.tokens):
-		unavailable(w, service.ReadyReasonOverloaded, "front door in-flight limit reached")
-	default:
-		writeJSON(w, http.StatusOK, map[string]any{
-			"status":           "ok",
-			"in_flight":        len(f.tokens),
-			"max_in_flight":    cap(f.tokens),
-			"healthy_backends": f.health.HealthyCount(),
-			"backends":         f.ring.Len(),
-		})
+		return unavailable(service.ReadyReasonOverloaded, "front door in-flight limit reached")
+	}
+	return http.StatusOK, map[string]any{
+		"status":           "ok",
+		"in_flight":        len(f.tokens),
+		"max_in_flight":    cap(f.tokens),
+		"healthy_backends": f.health.HealthyCount(),
+		"backends":         f.ring.Len(),
 	}
 }
 
@@ -788,66 +779,50 @@ type Stats struct {
 	Backends       []BackendStatus `json:"backends"`
 }
 
-// Stats snapshots the front counters and per-backend health.
+// Stats snapshots the front counters (from the registry) and
+// per-backend health.
 func (f *Front) Stats() Stats {
 	return Stats{
 		State:          f.State().String(),
-		Admitted:       f.stats.admitted.Load(),
-		Completed:      f.stats.completed.Load(),
-		Failed:         f.stats.failed.Load(),
-		Shed:           f.stats.shed.Load(),
-		Rejected:       f.stats.rejected.Load(),
-		Failovers:      f.stats.failovers.Load(),
-		Hedges:         f.stats.hedges.Load(),
-		HedgeWins:      f.stats.hedgeWins.Load(),
-		HedgeLost:      f.stats.hedgeLost.Load(),
-		HedgeCancelled: f.stats.hedgeCancelled.Load(),
-		RetriesDenied:  f.stats.retriesDenied.Load(),
-		ResumedRetries: f.stats.resumedRetries.Load(),
+		Admitted:       f.mAdmitted.Value(),
+		Completed:      f.mCompleted.Value(),
+		Failed:         f.mFailed.Value(),
+		Shed:           f.mShed.Value(),
+		Rejected:       f.mRejected.Value(),
+		Failovers:      f.mFailovers.Value(),
+		Hedges:         f.mHedges.Value(),
+		HedgeWins:      f.mHedgeWins.Value(),
+		HedgeLost:      f.mHedgeLost.Value(),
+		HedgeCancelled: f.mHedgeCancelled.Value(),
+		RetriesDenied:  f.mRetriesDenied.Value(),
+		ResumedRetries: f.mResumedRetries.Value(),
 		RetryTokens:    f.budget.Tokens(),
 		MergePending:   f.commits.pending(),
 		Backends:       f.health.Status(),
 	}
 }
 
-func (f *Front) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, f.Stats())
-}
-
 // metricsSnapshot assembles the fleet-wide registry snapshot that
 // backs both the OpenMetrics exposition and the metrics-history
-// sampler: the front door's registry (when telemetry is on) overlaid
-// with its own counters and one labeled family per backend for health
-// state, ejections, failovers, hedges, retries and reported queue
-// depth.
+// sampler: the front door's registry (its counters, per-backend ones
+// included) with the runtime health gauges refreshed, plus the
+// scrape-time gauges and the prober's per-backend health families
+// (state, reported queue depth, ejections, transitions, probe
+// failures), which live in the prober rather than the registry.
 func (f *Front) metricsSnapshot() telemetry.RegistrySnapshot {
-	reg := f.cfg.Telemetry.Registry()
-	telemetry.UpdateRuntimeGauges(reg, f.start)
-	snap := reg.Snapshot()
-	st := f.Stats()
-	snap.Counters["cluster.requests.admitted"] = st.Admitted
-	snap.Counters["cluster.requests.completed"] = st.Completed
-	snap.Counters["cluster.requests.failed"] = st.Failed
-	snap.Counters["cluster.requests.shed"] = st.Shed
-	snap.Counters["cluster.requests.rejected"] = st.Rejected
-	snap.Counters["cluster.failovers"] = st.Failovers
-	snap.Counters["cluster.hedges"] = st.Hedges
-	snap.Counters["cluster.hedge.wins"] = st.HedgeWins
-	// Hedge outcome accounting: won mirrors hedge.wins under the
-	// outcome-triple naming so the three resolutions sum to hedges.
-	snap.Counters["cluster.hedge.won"] = st.HedgeWins
-	snap.Counters["cluster.hedge.lost"] = st.HedgeLost
-	snap.Counters["cluster.hedge.cancelled"] = st.HedgeCancelled
-	snap.Counters["cluster.retries.denied"] = st.RetriesDenied
-	// Exposed as cluster_retry_budget_exhausted_total: each increment is
-	// one failover the shared token bucket refused, i.e. the moment the
-	// fleet stopped amplifying what looks like a correlated outage.
-	snap.Counters["cluster.retry.budget.exhausted"] = st.RetriesDenied
-	snap.Counters["cluster.failover.resumes"] = st.ResumedRetries
-	snap.Gauges["cluster.retry.budget"] = st.RetryTokens
+	telemetry.UpdateRuntimeGauges(f.reg, f.start)
+	snap := f.reg.Snapshot()
+	// Aliases under the names operators alert on: hedge.won completes
+	// the won/lost/cancelled outcome triple that sums to hedges, and
+	// retry.budget.exhausted (cluster_retry_budget_exhausted_total)
+	// marks each failover the shared token bucket refused — the moment
+	// the fleet stopped amplifying what looks like a correlated outage.
+	snap.Counters["cluster.hedge.won"] = snap.Counters["cluster.hedge.wins"]
+	snap.Counters["cluster.retry.budget.exhausted"] = snap.Counters["cluster.retries.denied"]
+	snap.Gauges["cluster.retry.budget"] = f.budget.Tokens()
 	snap.Gauges["cluster.inflight"] = float64(len(f.tokens))
 	snap.Gauges["cluster.inflight.max"] = float64(cap(f.tokens))
-	snap.Gauges["cluster.merge.pending"] = float64(st.MergePending)
+	snap.Gauges["cluster.merge.pending"] = float64(f.commits.pending())
 	snap.Gauges["cluster.state"] = float64(f.state.Load())
 	ready := 0.0
 	if f.State() == service.Ready && len(f.tokens) < cap(f.tokens) {
@@ -855,43 +830,14 @@ func (f *Front) metricsSnapshot() telemetry.RegistrySnapshot {
 	}
 	snap.Gauges["cluster.ready"] = ready
 	snap.Gauges["cluster.backends.healthy"] = float64(f.health.HealthyCount())
-	for _, bs := range st.Backends {
+	for _, bs := range f.health.Status() {
 		snap.Gauges["cluster.backend.state."+bs.Backend] = breakerStateValue(bs.State)
 		snap.Gauges["cluster.backend.queue.depth."+bs.Backend] = float64(bs.QueueDepth)
 		snap.Counters["cluster.backend.ejections."+bs.Backend] = bs.Ejections
 		snap.Counters["cluster.backend.transitions."+bs.Backend] = bs.Transitions
 		snap.Counters["cluster.backend.probe.failures."+bs.Backend] = bs.Failures
-		bc := f.perBack[bs.Backend]
-		if bc == nil {
-			continue
-		}
-		snap.Counters["cluster.backend.served."+bs.Backend] = bc.served.Load()
-		snap.Counters["cluster.backend.failovers."+bs.Backend] = bc.failovers.Load()
-		snap.Counters["cluster.backend.hedges."+bs.Backend] = bc.hedges.Load()
-		snap.Counters["cluster.backend.retries."+bs.Backend] = bc.retries.Load()
-	}
-	if reg == nil {
-		tmp := telemetry.NewRegistry()
-		telemetry.UpdateRuntimeGauges(tmp, f.start)
-		for name, v := range tmp.Snapshot().Gauges {
-			snap.Gauges[name] = v
-		}
 	}
 	return snap
-}
-
-func (f *Front) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", telemetry.PromContentType)
-	_ = telemetry.WritePrometheus(w, f.metricsSnapshot(),
-		telemetry.LabelRule{Prefix: "cluster.backend.state", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.queue.depth", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.ejections", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.transitions", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.probe.failures", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.served", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.failovers", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.hedges", Label: "backend"},
-		telemetry.LabelRule{Prefix: "cluster.backend.retries", Label: "backend"})
 }
 
 // breakerStateValue maps a breaker state name to the gauge encoding
@@ -970,50 +916,6 @@ func (f *Front) FleetIncidents() []FleetIncident {
 	return append([]FleetIncident(nil), f.fleet...)
 }
 
-func (f *Front) handleIncidents(w http.ResponseWriter, _ *http.Request) {
-	list := f.FleetIncidents()
-	if list == nil {
-		list = []FleetIncident{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(list), "incidents": list})
-}
-
-func (f *Front) handleIncidentCapture(w http.ResponseWriter, _ *http.Request) {
-	if f.recorder == nil {
-		unavailable(w, "disabled", "flight recorder disabled (front door has no telemetry collector)")
-		return
-	}
-	inc := f.recorder.Capture("manual: POST /debug/incidents/capture", "")
-	writeJSON(w, http.StatusOK, f.assembleFleetBundle(inc))
-}
-
-func (f *Front) handleFlightRec(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, f.recorder.Snapshot())
-}
-
-func (f *Front) handleMetricsHistory(w http.ResponseWriter, _ *http.Request) {
-	samples := f.history.Samples()
-	if samples == nil {
-		samples = []telemetry.HistorySample{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"period_ms": f.cfg.HistoryEvery.Milliseconds(),
-		"capacity":  f.history.Cap(),
-		"count":     len(samples),
-		"samples":   samples,
-	})
-}
-
-// handleDrain starts a graceful drain in the background (202).
-func (f *Front) handleDrain(w http.ResponseWriter, _ *http.Request) {
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), f.cfg.DrainTimeout+10*time.Second)
-		defer cancel()
-		_ = f.Drain(ctx)
-	}()
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "draining"})
-}
-
 // Drain gracefully stops the front door: admission closes (new
 // requests get 503 + Retry-After), in-flight requests finish (the
 // HTTP shutdown waits for them), the prober stops, and — when
@@ -1022,7 +924,7 @@ func (f *Front) handleDrain(w http.ResponseWriter, _ *http.Request) {
 func (f *Front) Drain(ctx context.Context) error {
 	f.drainOnce.Do(func() {
 		f.state.Store(int32(service.Draining))
-		f.cfg.Logf("cluster: draining front door (%d in flight)", len(f.tokens))
+		f.cfg.Logger.Info("cluster: draining front door", "in_flight", len(f.tokens))
 		if f.srv != nil {
 			shutCtx, cancel := context.WithTimeout(context.Background(), f.cfg.DrainTimeout)
 			defer cancel()
@@ -1043,9 +945,8 @@ func (f *Front) Drain(ctx context.Context) error {
 		// outlive the front don't wait on our idle sockets.
 		f.client.CloseIdleConnections()
 		f.state.Store(int32(service.Stopped))
-		f.cfg.Logf("cluster: front door stopped (served %d, failed %d, failovers %d, hedges %d)",
-			f.stats.completed.Load(), f.stats.failed.Load(),
-			f.stats.failovers.Load(), f.stats.hedges.Load())
+		f.cfg.Logger.Info("cluster: front door stopped", "served", f.mCompleted.Value(),
+			"failed", f.mFailed.Value(), "failovers", f.mFailovers.Value(), "hedges", f.mHedges.Value())
 		close(f.drained)
 	})
 	<-f.drained
@@ -1059,13 +960,13 @@ func (f *Front) drainBackends(ctx context.Context) {
 	backends := f.ring.Backends()
 	sort.Strings(backends)
 	for _, b := range backends {
-		f.cfg.Logf("cluster: draining backend %s", b)
+		f.cfg.Logger.Info("cluster: draining backend", "backend", b)
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, "http://"+b+"/drain", nil)
 		if err != nil {
 			continue
 		}
 		if resp, derr := f.client.Do(req); derr != nil {
-			f.cfg.Logf("cluster: backend %s drain request: %v (skipping)", b, derr)
+			f.cfg.Logger.Warn("cluster: backend drain request failed; skipping", "backend", b, "err", derr)
 			continue
 		} else {
 			resp.Body.Close()
@@ -1086,7 +987,7 @@ func (f *Front) drainBackends(ctx context.Context) {
 			}
 			time.Sleep(25 * time.Millisecond)
 		}
-		f.cfg.Logf("cluster: backend %s quiesced", b)
+		f.cfg.Logger.Info("cluster: backend quiesced", "backend", b)
 	}
 }
 

@@ -27,8 +27,6 @@ type ProbeConfig struct {
 	Client *http.Client
 	// OnTransition observes every backend breaker state change.
 	OnTransition func(backend string, from, to resilience.BreakerState)
-	// Logf receives probe-path log lines (nil discards).
-	Logf func(format string, args ...any)
 }
 
 func (c ProbeConfig) withDefaults() ProbeConfig {
@@ -45,9 +43,6 @@ func (c ProbeConfig) withDefaults() ProbeConfig {
 			Timeout:   c.Timeout,
 			Transport: &http.Transport{MaxIdleConnsPerHost: 2},
 		}
-	}
-	if c.Logf == nil {
-		c.Logf = func(string, ...any) {}
 	}
 	return c
 }
@@ -92,7 +87,6 @@ func NewHealth(backends []string, cfg ProbeConfig) *Health {
 		bcfg := cfg.Breaker
 		prev := bcfg.OnTransition
 		bcfg.OnTransition = func(from, to resilience.BreakerState) {
-			cfg.Logf("cluster: backend %s: %s -> %s", addr, from, to)
 			if cfg.OnTransition != nil {
 				cfg.OnTransition(addr, from, to)
 			}

@@ -2,7 +2,7 @@ package service
 
 import (
 	"context"
-	"io"
+	"errors"
 	"sync/atomic"
 	"time"
 
@@ -22,9 +22,9 @@ import (
 //     masked runs trip its breaker;
 //   - CorruptTraces exercises input validation: each simulated trace
 //     has this fraction of records corrupted before the run;
-//   - CheckpointFailures exercises the retrying atomic writer: the
-//     first N checkpoint write attempts fail mid-stream through a
-//     faults.FailingWriter;
+//   - CheckpointFailures exercises durability degradation: the first N
+//     run checkpoints bound for the artifact store fail, which must
+//     cost durability (run_checkpoint_failures) but never correctness;
 //   - SlowHandler exercises deadline propagation and load shedding:
 //     every request stalls this long before simulating, backing the
 //     queue up under load;
@@ -44,8 +44,8 @@ type Chaos struct {
 	FaultStart int
 	// CorruptTraces is the per-record corruption rate in [0,1].
 	CorruptTraces float64
-	// CheckpointFailures fails this many checkpoint write attempts
-	// before letting writes through.
+	// CheckpointFailures fails this many run-checkpoint writes to the
+	// artifact store before letting writes through.
 	CheckpointFailures int32
 	// SlowHandler stalls every request this long before simulating.
 	SlowHandler time.Duration
@@ -59,7 +59,7 @@ type Chaos struct {
 
 // Stop ends the chaos window: subsequent requests and checkpoint
 // writes run fault-free, letting the soak harness assert that the
-// service heals (breakers close, readiness returns, retries stop).
+// service heals (breakers close, readiness returns, checkpoints land).
 func (c *Chaos) Stop() {
 	if c != nil {
 		c.stopped.Store(true)
@@ -89,14 +89,17 @@ func (c *Chaos) wrapTrace(tr *trace.Trace) *trace.Trace {
 	return faults.CorruptRecords(tr, c.CorruptTraces, c.FaultSeed)
 }
 
-// wrapCheckpointWriter fails the first CheckpointFailures write
-// attempts mid-stream; each failed attempt is torn, never atomic —
-// exactly the failure the temp+rename+retry pipeline must absorb.
-func (c *Chaos) wrapCheckpointWriter(w io.Writer) io.Writer {
+// errInjectedCheckpoint is the failure checkpointFault injects.
+var errInjectedCheckpoint = errors.New("chaos: injected run-checkpoint write failure")
+
+// checkpointFault fails the first CheckpointFailures run-checkpoint
+// writes before they reach the store, so the store never sees a torn
+// write and the run carries on without that snapshot.
+func (c *Chaos) checkpointFault() error {
 	if !c.active() || c.ckpFails.Add(1) > c.CheckpointFailures {
-		return w
+		return nil
 	}
-	return &faults.FailingWriter{W: w, FailAfter: 4}
+	return errInjectedCheckpoint
 }
 
 // shouldPanic reports whether this simulation is the unlucky Nth.

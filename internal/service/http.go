@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"resemble/internal/cas"
+	"resemble/internal/ops"
 	"resemble/internal/resilience"
 	"resemble/internal/telemetry"
 	"resemble/internal/trace"
@@ -100,28 +101,16 @@ type Response struct {
 	ResumedFrom string `json:"resumed_from,omitempty"`
 }
 
-// retryAfter is the Retry-After hint attached to every 503.
-const retryAfter = "1"
-
 // Handler returns the service's HTTP API:
 //
 //	POST /v1/run          submit a simulation, wait for its result
 //	GET  /v1/explain      recent sampled RL decision records
-//	GET  /healthz         liveness (200 while the process serves HTTP)
-//	GET  /readyz          readiness (503 while saturated or draining)
-//	GET  /metrics         OpenMetrics/Prometheus text exposition
-//	GET  /metrics.json    telemetry registry snapshot + service counters
-//	GET  /metrics/history periodic registry samples (fixed-size ring)
-//	GET  /stats           service counters only
-//	POST /drain           begin graceful shutdown (202)
 //
-// Incident flight recorder (empty results when telemetry is off):
-//
-//	GET  /debug/incidents          retained incident bundles
-//	POST /debug/incidents/capture  snapshot an incident bundle now
-//	GET  /debug/flightrec          raw ring snapshot (no incident) —
-//	                               what a front door pulls when it
-//	                               assembles a fleet bundle
+// plus the shared ops surface (see ops.Surface.Register): /healthz,
+// /readyz, /stats, /metrics, /metrics/history, POST /drain and the
+// flight-recorder endpoints /debug/incidents, POST
+// /debug/incidents/capture and /debug/flightrec (empty results, or a
+// 503 for capture, when telemetry is off).
 //
 // When the capture manager is configured (Config.Profile.Dir):
 //
@@ -131,16 +120,7 @@ func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
 	mux.HandleFunc("GET /v1/explain", s.handleExplain)
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /readyz", s.handleReadyz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
-	mux.HandleFunc("GET /metrics/history", s.handleMetricsHistory)
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("POST /drain", s.handleDrain)
-	mux.HandleFunc("GET /debug/incidents", s.handleIncidents)
-	mux.HandleFunc("POST /debug/incidents/capture", s.handleIncidentCapture)
-	mux.HandleFunc("GET /debug/flightrec", s.handleFlightRec)
+	s.ops.Register(mux)
 	if s.profiles != nil {
 		mux.HandleFunc("POST /debug/profile/capture", s.handleProfileCapture)
 		mux.HandleFunc("GET /debug/profile/captures", s.handleProfileList)
@@ -148,37 +128,29 @@ func (s *Service) Handler() http.Handler {
 	return mux
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v) // headers are out; nothing useful to do on error
-}
-
 // unavailable answers 503 with the shedding contract's Retry-After.
 func unavailable(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", retryAfter)
-	writeJSON(w, http.StatusServiceUnavailable, Response{Error: msg})
+	w.Header().Set("Retry-After", ops.RetryAfter)
+	ops.WriteJSON(w, http.StatusServiceUnavailable, Response{Error: msg})
 }
 
 // handleRun validates, admits and awaits one simulation request.
 func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req Request
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: "bad request body: " + err.Error()})
+		ops.WriteJSON(w, http.StatusBadRequest, Response{Error: "bad request body: " + err.Error()})
 		return
 	}
 	if req.Workload == "" || req.Controller == "" {
-		writeJSON(w, http.StatusBadRequest, Response{Error: "workload and controller are required"})
+		ops.WriteJSON(w, http.StatusBadRequest, Response{Error: "workload and controller are required"})
 		return
 	}
 	if _, err := trace.Lookup(req.Workload); err != nil {
-		writeJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
+		ops.WriteJSON(w, http.StatusBadRequest, Response{Error: err.Error()})
 		return
 	}
 	if !validController(req.Controller) {
-		writeJSON(w, http.StatusBadRequest,
+		ops.WriteJSON(w, http.StatusBadRequest,
 			Response{Error: fmt.Sprintf("unknown controller %q (want one of %v)", req.Controller, Controllers())})
 		return
 	}
@@ -186,23 +158,23 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 		req.Accesses = s.cfg.DefaultAccesses
 	}
 	if req.Accesses < 0 || req.Accesses > s.cfg.MaxAccesses {
-		writeJSON(w, http.StatusBadRequest,
+		ops.WriteJSON(w, http.StatusBadRequest,
 			Response{Error: fmt.Sprintf("accesses %d out of range [1,%d]", req.Accesses, s.cfg.MaxAccesses)})
 		return
 	}
 	if req.FixedFrac > 14 {
-		writeJSON(w, http.StatusBadRequest,
+		ops.WriteJSON(w, http.StatusBadRequest,
 			Response{Error: fmt.Sprintf("fixed_frac %d out of range [0,14]", req.FixedFrac)})
 		return
 	}
 	if req.ResumeFrom != "" {
 		if s.cfg.Store == nil {
-			writeJSON(w, http.StatusBadRequest,
+			ops.WriteJSON(w, http.StatusBadRequest,
 				Response{Error: "resume_from requires an artifact store (service has none attached)"})
 			return
 		}
 		if _, err := cas.ParseID(req.ResumeFrom); err != nil {
-			writeJSON(w, http.StatusBadRequest,
+			ops.WriteJSON(w, http.StatusBadRequest,
 				Response{Error: "bad resume_from: " + err.Error()})
 			return
 		}
@@ -214,21 +186,20 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	ref, _ := telemetry.ParseSpanRef(r.Header.Get(telemetry.TraceParentHeader))
 	t, err := s.admit(r.Context(), req, ref)
 	if err != nil {
-		s.counter("service.requests.shed").Inc()
 		unavailable(w, err.Error())
 		return
 	}
 	select {
 	case <-t.done:
 		if t.status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", retryAfter)
+			w.Header().Set("Retry-After", ops.RetryAfter)
 		}
-		writeJSON(w, t.status, t.resp)
+		ops.WriteJSON(w, t.status, t.resp)
 	case <-r.Context().Done():
 		// Client gave up; cancel the task (the worker will observe the
 		// interrupt and wind down) but keep the connection contract.
 		t.cancel()
-		writeJSON(w, http.StatusGatewayTimeout, Response{Error: "client cancelled"})
+		ops.WriteJSON(w, http.StatusGatewayTimeout, Response{Error: "client cancelled"})
 	}
 }
 
@@ -245,7 +216,7 @@ func (s *Service) admit(parent context.Context, req Request, ref telemetry.SpanR
 	defer s.admitMu.Unlock()
 	if s.State() != Ready {
 		cancel()
-		s.stats.rejected.Add(1)
+		s.mRejected.Inc()
 		return nil, errors.New("service is draining")
 	}
 	t.seq = s.nextSeq
@@ -268,19 +239,18 @@ func (s *Service) admit(parent context.Context, req Request, ref telemetry.SpanR
 	if err := s.queue.Offer(t); err != nil {
 		cancel()
 		if errors.Is(err, resilience.ErrShed) {
-			s.stats.shed.Add(1)
+			s.mShed.Inc()
 			// The recorder snapshot is taken under admitMu; the rate
 			// limit keeps a shed storm to one capture per interval.
 			s.recorder.Trigger("shed.burst",
 				fmt.Sprintf("queue full (%d deep)", s.queue.Capacity()))
 			return nil, fmt.Errorf("queue full (%d deep): request shed", s.queue.Capacity())
 		}
-		s.stats.rejected.Add(1)
+		s.mRejected.Inc()
 		return nil, err
 	}
 	s.nextSeq++
-	s.stats.admitted.Add(1)
-	s.counter("service.requests.admitted").Inc()
+	s.mAdmitted.Inc()
 	t.admitSpan.End()
 	return t, nil
 }
@@ -294,12 +264,6 @@ func validController(name string) bool {
 	return false
 }
 
-// handleHealthz is the liveness probe: the process is up and serving
-// HTTP. It stays 200 through draining — liveness is not readiness.
-func (s *Service) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok", "state": s.State().String()})
-}
-
 // Readiness reasons reported by /readyz 503s. The cluster front
 // door's health prober branches on them: "draining" means the backend
 // is leaving on purpose (route away, don't alarm), "overloaded" means
@@ -310,55 +274,28 @@ const (
 	ReadyReasonStarting   = "starting"
 )
 
-// notReady answers a readiness 503 with a machine-readable reason.
-// Every 503 the service emits carries Retry-After — readiness
-// included, not just the shed path — so clients and coordinators get
-// one uniform backpressure contract.
-func notReady(w http.ResponseWriter, reason string) {
-	w.Header().Set("Retry-After", retryAfter)
-	writeJSON(w, http.StatusServiceUnavailable, map[string]any{
-		"status": "unavailable",
-		"reason": reason,
-	})
-}
-
-// handleReadyz is the readiness probe: 200 only while the service is
+// readiness is the /readyz decision: 200 only while the service is
 // admitting and the queue has headroom. Load balancers stop routing
 // here first, before the queue starts shedding. The 503 body carries
 // a distinct reason ("draining" vs "overloaded") so a coordinator can
 // tell a deliberate departure from transient saturation.
-func (s *Service) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	state := s.State()
-	switch {
+func (s *Service) readiness() (int, any) {
+	reason := ""
+	switch state := s.State(); {
 	case state == Starting:
-		notReady(w, ReadyReasonStarting)
+		reason = ReadyReasonStarting
 	case state != Ready:
-		notReady(w, ReadyReasonDraining)
+		reason = ReadyReasonDraining
 	case s.queue.Saturated():
-		notReady(w, ReadyReasonOverloaded)
+		reason = ReadyReasonOverloaded
 	default:
-		writeJSON(w, http.StatusOK, map[string]any{
+		return http.StatusOK, map[string]any{
 			"status":      "ok",
 			"queue_depth": s.queue.Depth(),
 			"queue_cap":   s.queue.Capacity(),
-		})
+		}
 	}
-}
-
-// handleMetrics serves the OpenMetrics/Prometheus text exposition:
-// registry instruments plus the service's own counters, queue and
-// breaker gauges, retry-budget level and runtime health gauges. The
-// per-arm breaker instruments fold into labeled families
-// (service_breaker_state{arm="bo"}).
-func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	snap := s.metricsSnapshot()
-	w.Header().Set("Content-Type", telemetry.PromContentType)
-	_ = telemetry.WritePrometheus(w, snap,
-		telemetry.LabelRule{Prefix: "service.breaker.state", Label: "arm"},
-		telemetry.LabelRule{Prefix: "service.breaker.trips", Label: "arm"},
-		telemetry.LabelRule{Prefix: "phase.allocs.count", Label: "phase"},
-		telemetry.LabelRule{Prefix: "phase.allocs.bytes", Label: "phase"},
-		telemetry.LabelRule{Prefix: "phase.allocs.objects", Label: "phase"})
+	return http.StatusServiceUnavailable, map[string]any{"status": "unavailable", "reason": reason}
 }
 
 // handleProfileCapture takes an on-demand capture. ?cpu_ms= overrides
@@ -368,7 +305,7 @@ func (s *Service) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("cpu_ms"); q != "" {
 		ms, err := strconv.Atoi(q)
 		if err != nil || ms < 0 {
-			writeJSON(w, http.StatusBadRequest, Response{Error: "cpu_ms must be a non-negative integer"})
+			ops.WriteJSON(w, http.StatusBadRequest, Response{Error: "cpu_ms must be a non-negative integer"})
 			return
 		}
 		cpuDur = time.Duration(ms) * time.Millisecond
@@ -376,10 +313,10 @@ func (s *Service) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
 	p99 := s.hLatency.Snapshot().Summary.P99
 	info, err := s.profiles.Capture("manual: POST /debug/profile/capture", cpuDur, p99, 0)
 	if err != nil {
-		writeJSON(w, http.StatusInternalServerError, Response{Error: err.Error()})
+		ops.WriteJSON(w, http.StatusInternalServerError, Response{Error: err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, info)
+	ops.WriteJSON(w, http.StatusOK, info)
 }
 
 // handleProfileList returns the retained capture manifests.
@@ -388,18 +325,7 @@ func (s *Service) handleProfileList(w http.ResponseWriter, _ *http.Request) {
 	if list == nil {
 		list = []CaptureInfo{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(list), "captures": list})
-}
-
-// handleMetricsJSON dumps the telemetry registry snapshot (when
-// telemetry is enabled) plus the service counters — the JSON view
-// that used to live at /metrics.
-func (s *Service) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
-	out := map[string]any{"service": s.Stats()}
-	if reg := s.cfg.Telemetry.Registry(); reg != nil {
-		out["registry"] = reg.Snapshot()
-	}
-	writeJSON(w, http.StatusOK, out)
+	ops.WriteJSON(w, http.StatusOK, map[string]any{"count": len(list), "captures": list})
 }
 
 // handleExplain returns the most recent sampled RL decision records
@@ -410,7 +336,7 @@ func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if q := r.URL.Query().Get("n"); q != "" {
 		v, err := strconv.Atoi(q)
 		if err != nil || v < 1 {
-			writeJSON(w, http.StatusBadRequest, Response{Error: "n must be a positive integer"})
+			ops.WriteJSON(w, http.StatusBadRequest, Response{Error: "n must be a positive integer"})
 			return
 		}
 		n = min(v, 1000)
@@ -422,69 +348,9 @@ func (s *Service) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if ds == nil {
 		ds = []telemetry.Decision{}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	ops.WriteJSON(w, http.StatusOK, map[string]any{
 		"sample_rate": s.cfg.Telemetry.ExplainSample(),
 		"count":       len(ds),
 		"decisions":   ds,
 	})
-}
-
-// handleMetricsHistory serves the periodic registry sample ring
-// (empty when telemetry is off): enough to reconstruct the minute of
-// fleet metrics before an incident without external scrape
-// infrastructure.
-func (s *Service) handleMetricsHistory(w http.ResponseWriter, _ *http.Request) {
-	samples := s.history.Samples()
-	if samples == nil {
-		samples = []telemetry.HistorySample{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"period_ms": s.cfg.HistoryEvery.Milliseconds(),
-		"capacity":  s.history.Cap(),
-		"count":     len(samples),
-		"samples":   samples,
-	})
-}
-
-// handleIncidents returns the retained incident bundles, oldest first.
-func (s *Service) handleIncidents(w http.ResponseWriter, _ *http.Request) {
-	incs := s.recorder.Incidents()
-	if incs == nil {
-		incs = []telemetry.Incident{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"count": len(incs), "incidents": incs})
-}
-
-// handleIncidentCapture snapshots an incident bundle on demand,
-// bypassing the automatic-trigger rate limit.
-func (s *Service) handleIncidentCapture(w http.ResponseWriter, _ *http.Request) {
-	if s.recorder == nil {
-		writeJSON(w, http.StatusServiceUnavailable,
-			Response{Error: "flight recorder disabled (service has no telemetry collector)"})
-		return
-	}
-	writeJSON(w, http.StatusOK, s.recorder.Capture("manual: POST /debug/incidents/capture", ""))
-}
-
-// handleFlightRec serves the raw ring snapshot without capturing an
-// incident — the per-backend payload a front door pulls when it
-// assembles a fleet bundle.
-func (s *Service) handleFlightRec(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.recorder.Snapshot())
-}
-
-// handleStats dumps the service counters.
-func (s *Service) handleStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.Stats())
-}
-
-// handleDrain starts a graceful drain in the background and returns
-// immediately; poll /healthz for state=stopped.
-func (s *Service) handleDrain(w http.ResponseWriter, _ *http.Request) {
-	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout+10*time.Second)
-		defer cancel()
-		_ = s.Drain(ctx)
-	}()
-	writeJSON(w, http.StatusAccepted, map[string]string{"status": "draining"})
 }

@@ -65,34 +65,6 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONView: the JSON dump moved to /metrics.json and still
-// carries the registry snapshot plus service counters.
-func TestMetricsJSONView(t *testing.T) {
-	tel, err := telemetry.New(telemetry.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := startService(t, func(c *Config) { c.Telemetry = tel })
-	resp, err := http.Get("http://" + s.Addr() + "/metrics.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var out struct {
-		Service  *Stats                      `json:"service"`
-		Registry *telemetry.RegistrySnapshot `json:"registry"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("/metrics.json is not JSON: %v", err)
-	}
-	if out.Service == nil {
-		t.Error("/metrics.json missing service counters")
-	}
-	if out.Registry == nil {
-		t.Error("/metrics.json missing registry snapshot")
-	}
-}
-
 // TestExplainEndpoint: with explain sampling on, /v1/explain returns
 // the sampled decision records and every record's chosen arm is a
 // valid arm of the run's controller.

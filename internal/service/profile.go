@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -97,8 +98,8 @@ type CaptureInfo struct {
 // while one is in flight queues on the mutex).
 type captureManager struct {
 	cfg      ProfileConfig
-	logf     func(format string, args ...any)
-	captures *telemetry.Counter // total captures taken (nil-safe)
+	log      *slog.Logger
+	captures *telemetry.Counter // total captures taken
 
 	mu       sync.Mutex
 	seq      int
@@ -106,8 +107,8 @@ type captureManager struct {
 	lastAuto time.Time
 }
 
-func newCaptureManager(cfg ProfileConfig, logf func(string, ...any), captures *telemetry.Counter) *captureManager {
-	return &captureManager{cfg: cfg.withDefaults(), logf: logf, captures: captures}
+func newCaptureManager(cfg ProfileConfig, log *slog.Logger, captures *telemetry.Counter) *captureManager {
+	return &captureManager{cfg: cfg.withDefaults(), log: log, captures: captures}
 }
 
 // List returns the retained capture manifests, oldest first.
@@ -115,13 +116,6 @@ func (m *captureManager) List() []CaptureInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return append([]CaptureInfo(nil), m.ring...)
-}
-
-// Count returns how many captures have been taken in total.
-func (m *captureManager) Count() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.seq
 }
 
 // Capture takes one capture: post-GC heap profile always, plus a CPU
@@ -182,7 +176,7 @@ func (m *captureManager) Capture(reason string, cpuDur time.Duration, p99Ms, all
 	}
 	m.commit(info)
 	m.captures.Inc()
-	m.logf("service: profile capture %d (%s) -> %s", info.Seq, reason, info.Dir)
+	m.log.Info("service: profile capture", "seq", info.Seq, "reason", reason, "dir", info.Dir)
 	return info, nil
 }
 
@@ -199,7 +193,7 @@ func (m *captureManager) commit(info CaptureInfo) {
 	m.mu.Unlock()
 	for _, dir := range evict {
 		if err := os.RemoveAll(dir); err != nil {
-			m.logf("service: capture eviction: %v", err)
+			m.log.Warn("service: capture eviction", "err", err)
 		}
 	}
 }
@@ -284,7 +278,7 @@ func (s *Service) profileLoop() {
 				continue
 			}
 			if _, err := s.profiles.Capture(reason, -1, p99, allocRate); err != nil {
-				s.cfg.Logf("service: auto capture: %v", err)
+				s.cfg.Logger.Warn("service: auto capture", "err", err)
 			}
 		case <-s.stopCh:
 			return

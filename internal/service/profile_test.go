@@ -144,7 +144,7 @@ func TestProfileAutoTrigger(t *testing.T) {
 	// The hour-long min interval means exactly one capture despite the
 	// trigger staying hot.
 	time.Sleep(50 * time.Millisecond)
-	if got := s.profiles.Count(); got != 1 {
+	if got := s.profiles.captures.Value(); got != 1 {
 		t.Errorf("rate limit ignored: %d captures", got)
 	}
 }

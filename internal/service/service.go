@@ -18,10 +18,14 @@
 //     that ends several consecutive runs masked is excluded from new
 //     ensembles until its breaker half-opens and a probe run clears
 //     it;
-//   - persistence: service counters are checkpointed periodically and
-//     on drain through internal/checkpoint's retrying atomic writes;
-//   - observability: every decision surfaces through the telemetry
-//     registry and the /metrics endpoint.
+//   - persistence: with an artifact store attached (Config.Store),
+//     every run checkpoints into the content-addressed store so a
+//     coordinator can resume it on another instance; the service's own
+//     counters are process-lifetime, like any Prometheus counter;
+//   - observability: every decision surfaces through the service's
+//     telemetry registry — the single store of its counters and gauges,
+//     read by Stats, /stats and /metrics alike — and the shared ops
+//     endpoints of internal/ops.
 //
 // On the happy path the resilience layer is observation-only: a
 // zero-fault soak produces telemetry window output byte-identical to
@@ -32,7 +36,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -41,8 +44,8 @@ import (
 	"time"
 
 	"resemble/internal/cas"
-	"resemble/internal/checkpoint"
 	"resemble/internal/core"
+	"resemble/internal/ops"
 	"resemble/internal/prefetch"
 	"resemble/internal/prefetch/bo"
 	"resemble/internal/prefetch/domino"
@@ -75,14 +78,6 @@ type Config struct {
 	DefaultAccesses int
 	MaxAccesses     int
 
-	// CheckpointPath enables service-state checkpoints (periodic and
-	// on drain); CheckpointEvery is the period (default 15s).
-	CheckpointPath  string
-	CheckpointEvery time.Duration
-	// Resume restores the service counters from CheckpointPath at
-	// startup when the file exists.
-	Resume bool
-
 	// Store, when non-nil, is the durable artifact store: every run
 	// periodically checkpoints into it (keyed by the run-request hash
 	// and access cursor, see RunKey/CheckpointTag) and /v1/run accepts
@@ -97,10 +92,11 @@ type Config struct {
 	RunCheckpointEvery int
 
 	// Telemetry, when non-nil, instruments every simulation (window
-	// snapshots, sampled events) and carries the service's registry
-	// metrics. Nil disables instrumentation; the service still tracks
-	// its own Stats. It also enables the observability extras below:
-	// the metrics-history sampler and the incident flight recorder.
+	// snapshots, sampled events) and its registry carries the service's
+	// counters and gauges. Nil disables instrumentation; the service
+	// then keeps its counters in a private registry. It also enables
+	// the observability extras below: the metrics-history sampler and
+	// the incident flight recorder.
 	Telemetry *telemetry.Collector
 	// HistoryEvery is the metrics-history sampling period (default 1s)
 	// and HistorySamples the ring capacity (default 120 — two minutes
@@ -140,12 +136,9 @@ type Config struct {
 	// Profile configures the capture manager (see ProfileConfig); the
 	// zero value disables it.
 	Profile ProfileConfig
-	// Logf receives operational log lines (nil discards them unless
-	// Logger is set, in which case they route through it at Info).
-	Logf func(format string, args ...any)
-	// Logger receives structured request/lifecycle logs carrying the
-	// correlation IDs (admission seq, span ID) that also appear in the
-	// span trace. Nil discards them.
+	// Logger receives the operational log lines and the structured
+	// request logs carrying the correlation IDs (admission seq, span ID)
+	// that also appear in the span trace. Nil discards them.
 	Logger *slog.Logger
 }
 
@@ -171,9 +164,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxAccesses <= 0 {
 		c.MaxAccesses = 500000
 	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 15 * time.Second
-	}
 	if c.HistoryEvery <= 0 {
 		c.HistoryEvery = telemetry.DefaultHistoryEvery
 	}
@@ -185,13 +175,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Traces == nil {
 		c.Traces = trace.Shared()
-	}
-	if c.Logf == nil {
-		if lg := c.Logger; lg != nil {
-			c.Logf = func(format string, args ...any) { lg.Info(fmt.Sprintf(format, args...)) }
-		} else {
-			c.Logf = func(string, ...any) {}
-		}
 	}
 	if c.Logger == nil {
 		c.Logger = slog.New(slog.DiscardHandler)
@@ -236,7 +219,7 @@ type State int32
 
 // Lifecycle: Starting (constructed, not yet serving), Ready
 // (admitting), Draining (rejecting new work, finishing queued work),
-// Stopped (drained, final checkpoint written).
+// Stopped (drained).
 const (
 	Starting State = iota
 	Ready
@@ -268,7 +251,10 @@ type Service struct {
 
 	queue    *resilience.Queue[*task]
 	breakers map[string]*resilience.Breaker
-	budget   *resilience.Budget
+	// budget backs the service_retry_budget gauge, part of the pinned
+	// /metrics family set. Nothing spends it since the service-counter
+	// checkpoint writer, its only consumer, was removed.
+	budget *resilience.Budget
 
 	ln  net.Listener
 	srv *http.Server
@@ -278,12 +264,11 @@ type Service struct {
 
 	profiles *captureManager // nil when ProfileConfig is disabled
 
-	// history and recorder are non-nil iff telemetry is enabled: the
-	// periodic registry sample ring behind /metrics/history, and the
-	// incident flight recorder behind /debug/incidents. Both are
-	// nil-safe, so trigger sites never branch.
-	history  *telemetry.History
+	// recorder is non-nil iff telemetry is enabled: the incident flight
+	// recorder behind /debug/incidents (the history ring it embeds
+	// lives on ops). Nil-safe, so trigger sites never branch.
 	recorder *telemetry.FlightRecorder
+	ops      *ops.Surface[telemetry.Incident]
 
 	// admitMu serializes admission so queue order equals telemetry
 	// commit order.
@@ -292,13 +277,11 @@ type Service struct {
 	commits committer
 
 	workers  sync.WaitGroup // worker goroutines
-	loops    sync.WaitGroup // supervisor, watchdog, checkpoint loop
+	loops    sync.WaitGroup // watchdog, history and profile loops
 	httpDone chan struct{}  // closed when the http server goroutine exits
 	stopCh   chan struct{}  // closed on drain to stop the background loops
 
 	busy []workerStatus // per-worker heartbeat slots
-
-	stats serviceCounters
 
 	aborted atomic.Bool // Abort severed the HTTP front (chaos harness)
 
@@ -308,27 +291,21 @@ type Service struct {
 
 	start time.Time // process-health uptime anchor
 
-	// metric handles (nil-safe when telemetry is off)
-	mQueueDepth *telemetry.Gauge
-	mReady      *telemetry.Gauge
-	mBreaker    map[string]*telemetry.Gauge
+	// reg is the single store of the service's counters and gauges:
+	// the collector's registry with telemetry on, a private one
+	// otherwise. The handles below are resolved from it once in New.
+	reg                            *telemetry.Registry
+	mAdmitted, mCompleted, mShed   *telemetry.Counter
+	mRejected, mFailed, mTimedOut  *telemetry.Counter
+	mPanics, mRestarts, mWedged    *telemetry.Counter
+	mMaskedRuns                    *telemetry.Counter
+	mRunCkpWrites, mRunCkpFailures *telemetry.Counter
+	mResumes, mResumeFallbacks     *telemetry.Counter
+	mTrips                         map[string]*telemetry.Counter
+	mQueueDepth, mReady            *telemetry.Gauge
 	// hLatency tracks end-to-end request latency in milliseconds; the
 	// capture manager's p99 auto-trigger reads it.
 	hLatency *telemetry.Histogram
-}
-
-// serviceCounters is the service's own always-on accounting (the
-// telemetry registry mirrors it when instrumentation is enabled).
-type serviceCounters struct {
-	admitted, completed, shed, rejected atomic.Uint64
-	failed, timedOut                    atomic.Uint64
-	panics, restarts, wedged            atomic.Uint64
-	ckpWrites, ckpRetries, ckpFailures  atomic.Uint64
-	maskedRuns                          atomic.Uint64
-
-	// Artifact-store run-checkpoint accounting (zero without a Store).
-	runCkpWrites, runCkpFailures atomic.Uint64
-	resumes, resumeFallbacks     atomic.Uint64
 }
 
 // workerStatus is one worker's heartbeat slot for the watchdog.
@@ -353,9 +330,6 @@ type Stats struct {
 	Restarts      uint64 `json:"worker_restarts"`
 	Wedged        uint64 `json:"tasks_wedged"`
 	MaskedRuns    uint64 `json:"runs_with_masked_arms"`
-	CkpWrites     uint64 `json:"checkpoint_writes"`
-	CkpRetries    uint64 `json:"checkpoint_retries"`
-	CkpFailures   uint64 `json:"checkpoint_failures"`
 	// Run-checkpoint accounting against the artifact store: durable
 	// snapshots written mid-run, runs warm-started from a snapshot, and
 	// requested resumes that fell back to a scratch run because the
@@ -376,6 +350,12 @@ func New(cfg Config) (*Service, error) {
 	if cfg.SimConfig != nil {
 		simCfg = *cfg.SimConfig
 	}
+	reg := cfg.Telemetry.Registry()
+	if reg == nil {
+		// No collector: the simulator stays uninstrumented, but the
+		// service's own counters still need a home.
+		reg = telemetry.NewRegistry()
+	}
 	s := &Service{
 		cfg:      cfg,
 		breakers: make(map[string]*resilience.Breaker),
@@ -384,28 +364,44 @@ func New(cfg Config) (*Service, error) {
 		stopCh:   make(chan struct{}),
 		drained:  make(chan struct{}),
 		busy:     make([]workerStatus, cfg.Workers),
-		mBreaker: make(map[string]*telemetry.Gauge),
 		start:    time.Now(),
+
+		reg:              reg,
+		mAdmitted:        reg.Counter("service.requests.admitted"),
+		mCompleted:       reg.Counter("service.requests.completed"),
+		mShed:            reg.Counter("service.requests.shed"),
+		mRejected:        reg.Counter("service.requests.rejected"),
+		mFailed:          reg.Counter("service.requests.failed"),
+		mTimedOut:        reg.Counter("service.requests.timeout"),
+		mPanics:          reg.Counter("service.workers.panics"),
+		mRestarts:        reg.Counter("service.workers.restarts"),
+		mWedged:          reg.Counter("service.workers.wedged"),
+		mMaskedRuns:      reg.Counter("service.runs.masked"),
+		mRunCkpWrites:    reg.Counter("service.run.checkpoint.writes"),
+		mRunCkpFailures:  reg.Counter("service.run.checkpoint.failures"),
+		mResumes:         reg.Counter("service.runs.resumed"),
+		mResumeFallbacks: reg.Counter("service.runs.resume_fallback"),
+		mTrips:           make(map[string]*telemetry.Counter),
+		mQueueDepth:      reg.Gauge("service.queue.depth"),
+		mReady:           reg.Gauge("service.ready"),
+		// The latency histogram is exposed only with telemetry on; the
+		// capture manager's p99 trigger reads it either way.
+		hLatency: cfg.Telemetry.Registry().Histogram("service.request.latency.ms"),
 	}
-	s.runner = sim.NewRunner(simCfg, sim.WithTelemetry(cfg.Telemetry))
-	reg := cfg.Telemetry.Registry()
-	s.mQueueDepth = reg.Gauge("service.queue.depth")
-	s.mReady = reg.Gauge("service.ready")
-	s.hLatency = reg.Histogram("service.request.latency.ms")
 	if s.hLatency == nil {
-		// No telemetry registry: keep a standalone histogram so the
-		// capture manager's p99 trigger still has a signal.
 		s.hLatency = &telemetry.Histogram{}
 	}
+	s.runner = sim.NewRunner(simCfg, sim.WithTelemetry(cfg.Telemetry))
 	if cfg.Profile.enabled() {
-		s.profiles = newCaptureManager(cfg.Profile, cfg.Logf, reg.Counter("service.profile.captures"))
+		s.profiles = newCaptureManager(cfg.Profile, cfg.Logger, reg.Counter("service.profile.captures"))
 	}
+	var history *telemetry.History
 	if cfg.Telemetry != nil {
-		s.history = telemetry.NewHistory(cfg.HistorySamples)
+		history = telemetry.NewHistory(cfg.HistorySamples)
 		s.recorder = telemetry.NewFlightRecorder(telemetry.RecorderConfig{
 			Process:     "resembled",
 			MinInterval: cfg.IncidentMinInterval,
-			// Incident bundles ride alongside PR 6's profile captures:
+			// Incident bundles ride alongside the profile captures:
 			// attach the retained capture manifests so the bundle points
 			// at the pprof data taken around the same window.
 			Decorate: func(inc *telemetry.Incident) {
@@ -415,14 +411,34 @@ func New(cfg Config) (*Service, error) {
 					}
 				}
 			},
-		}, cfg.Telemetry, s.history)
+		}, cfg.Telemetry, history)
+	}
+	s.ops = &ops.Surface[telemetry.Incident]{
+		State:        func() string { return s.State().String() },
+		Ready:        s.readiness,
+		Stats:        func() any { return s.Stats() },
+		Drain:        s.Drain,
+		DrainTimeout: cfg.DrainTimeout,
+		Snapshot:     s.metricsSnapshot,
+		Rules: []telemetry.LabelRule{
+			{Prefix: "service.breaker.state", Label: "arm"},
+			{Prefix: "service.breaker.trips", Label: "arm"},
+			{Prefix: "phase.allocs.count", Label: "phase"},
+			{Prefix: "phase.allocs.bytes", Label: "phase"},
+			{Prefix: "phase.allocs.objects", Label: "phase"},
+		},
+		History:      history,
+		HistoryEvery: cfg.HistoryEvery,
+		Recorder:     s.recorder,
+		Incidents:    s.recorder.Incidents,
+		Bundle:       func(inc telemetry.Incident) telemetry.Incident { return inc },
 	}
 	for _, arm := range ArmNames() {
 		arm := arm
 		bcfg := cfg.Breaker
 		gauge := reg.Gauge("service.breaker.state." + arm)
-		s.mBreaker[arm] = gauge
 		trips := reg.Counter("service.breaker.trips." + arm)
+		s.mTrips[arm] = trips
 		prev := bcfg.OnTransition
 		bcfg.OnTransition = func(from, to resilience.BreakerState) {
 			gauge.Set(float64(to))
@@ -432,7 +448,7 @@ func New(cfg Config) (*Service, error) {
 			} else {
 				s.recorder.Note("breaker."+to.String(), arm)
 			}
-			s.cfg.Logf("service: breaker %s: %s -> %s", arm, from, to)
+			s.cfg.Logger.Info("service: breaker transition", "arm", arm, "from", from.String(), "to", to.String())
 			if prev != nil {
 				prev(from, to)
 			}
@@ -445,11 +461,6 @@ func New(cfg Config) (*Service, error) {
 	})
 	s.commits.parent = cfg.Telemetry
 	s.commits.parked = make(map[uint64]*telemetry.Collector)
-	if cfg.Resume && cfg.CheckpointPath != "" {
-		if err := s.loadCheckpoint(); err != nil {
-			return nil, err
-		}
-	}
 	return s, nil
 }
 
@@ -489,43 +500,16 @@ func (s *Service) updateReady() {
 	s.mReady.Set(v)
 }
 
-// metricsSnapshot assembles the exposition view: the telemetry
-// registry snapshot (empty when telemetry is off) with the service's
-// own authoritative counters, queue/breaker/retry-budget gauges and
-// the runtime health gauges overlaid. The service counters override
-// the registry mirrors of the same names, so /metrics is correct even
-// when instrumentation is disabled or a resume restored the counters.
+// metricsSnapshot assembles the exposition view: the service registry
+// (its counters and gauges, plus the simulator's instruments with
+// telemetry on) with the runtime health gauges refreshed and the
+// scrape-time gauges the registry does not track overlaid.
 func (s *Service) metricsSnapshot() telemetry.RegistrySnapshot {
-	reg := s.cfg.Telemetry.Registry()
-	telemetry.UpdateRuntimeGauges(reg, s.start)
+	telemetry.UpdateRuntimeGauges(s.reg, s.start)
 	s.updateReady()
-	snap := reg.Snapshot()
-	st := s.Stats()
-	snap.Counters["service.requests.admitted"] = st.Admitted
-	snap.Counters["service.requests.completed"] = st.Completed
-	snap.Counters["service.requests.shed"] = st.Shed
-	snap.Counters["service.requests.rejected"] = st.Rejected
-	snap.Counters["service.requests.failed"] = st.Failed
-	snap.Counters["service.requests.timeout"] = st.TimedOut
-	snap.Counters["service.workers.panics"] = st.Panics
-	snap.Counters["service.workers.restarts"] = st.Restarts
-	snap.Counters["service.workers.wedged"] = st.Wedged
-	snap.Counters["service.runs.masked"] = st.MaskedRuns
-	snap.Counters["service.checkpoint.writes"] = st.CkpWrites
-	snap.Counters["service.checkpoint.retries"] = st.CkpRetries
-	snap.Counters["service.checkpoint.failures"] = st.CkpFailures
-	snap.Counters["service.run.checkpoint.writes"] = st.RunCkpWrites
-	snap.Counters["service.run.checkpoint.failures"] = st.RunCkpFailures
-	snap.Counters["service.runs.resumed"] = st.Resumes
-	snap.Counters["service.runs.resume_fallback"] = st.ResumeFallbacks
-	snap.Gauges["service.queue.depth"] = float64(st.QueueDepth)
-	snap.Gauges["service.queue.capacity"] = float64(st.QueueCapacity)
+	snap := s.reg.Snapshot()
+	snap.Gauges["service.queue.capacity"] = float64(s.queue.Capacity())
 	snap.Gauges["service.state"] = float64(s.state.Load())
-	ready := 0.0
-	if s.ready() {
-		ready = 1
-	}
-	snap.Gauges["service.ready"] = ready
 	snap.Gauges["service.retry.budget"] = s.budget.Tokens()
 	// Per-phase allocation attribution (empty unless the collector runs
 	// with Config.AllocAttribution): one counter triple per phase,
@@ -535,54 +519,35 @@ func (s *Service) metricsSnapshot() telemetry.RegistrySnapshot {
 		snap.Counters["phase.allocs.bytes."+pa.Phase] = pa.AllocBytes
 		snap.Counters["phase.allocs.objects."+pa.Phase] = pa.AllocObjects
 	}
-	if s.profiles != nil {
-		snap.Counters["service.profile.captures"] = uint64(s.profiles.Count())
-	}
-	for name, b := range s.breakers {
-		snap.Gauges["service.breaker.state."+name] = float64(b.State())
-		snap.Counters["service.breaker.trips."+name] = b.Trips()
-	}
-	if reg == nil {
-		// No registry to carry the runtime gauges: compute them into a
-		// throwaway registry so the exposition stays complete.
-		tmp := telemetry.NewRegistry()
-		telemetry.UpdateRuntimeGauges(tmp, s.start)
-		for name, v := range tmp.Snapshot().Gauges {
-			snap.Gauges[name] = v
-		}
-	}
 	return snap
 }
 
-// Stats snapshots the service counters.
+// Stats snapshots the service counters from the registry.
 func (s *Service) Stats() Stats {
 	st := Stats{
 		State:           s.State().String(),
 		QueueDepth:      s.queue.Depth(),
 		QueueCapacity:   s.queue.Capacity(),
-		Admitted:        s.stats.admitted.Load(),
-		Completed:       s.stats.completed.Load(),
-		Shed:            s.stats.shed.Load(),
-		Rejected:        s.stats.rejected.Load(),
-		Failed:          s.stats.failed.Load(),
-		TimedOut:        s.stats.timedOut.Load(),
-		Panics:          s.stats.panics.Load(),
-		Restarts:        s.stats.restarts.Load(),
-		Wedged:          s.stats.wedged.Load(),
-		MaskedRuns:      s.stats.maskedRuns.Load(),
-		CkpWrites:       s.stats.ckpWrites.Load(),
-		CkpRetries:      s.stats.ckpRetries.Load(),
-		CkpFailures:     s.stats.ckpFailures.Load(),
-		RunCkpWrites:    s.stats.runCkpWrites.Load(),
-		RunCkpFailures:  s.stats.runCkpFailures.Load(),
-		Resumes:         s.stats.resumes.Load(),
-		ResumeFallbacks: s.stats.resumeFallbacks.Load(),
+		Admitted:        s.mAdmitted.Value(),
+		Completed:       s.mCompleted.Value(),
+		Shed:            s.mShed.Value(),
+		Rejected:        s.mRejected.Value(),
+		Failed:          s.mFailed.Value(),
+		TimedOut:        s.mTimedOut.Value(),
+		Panics:          s.mPanics.Value(),
+		Restarts:        s.mRestarts.Value(),
+		Wedged:          s.mWedged.Value(),
+		MaskedRuns:      s.mMaskedRuns.Value(),
+		RunCkpWrites:    s.mRunCkpWrites.Value(),
+		RunCkpFailures:  s.mRunCkpFailures.Value(),
+		Resumes:         s.mResumes.Value(),
+		ResumeFallbacks: s.mResumeFallbacks.Value(),
 		Breakers:        map[string]string{},
 		BreakerTrips:    map[string]uint64{},
 	}
 	for name, b := range s.breakers {
 		st.Breakers[name] = b.State().String()
-		st.BreakerTrips[name] = b.Trips()
+		st.BreakerTrips[name] = s.mTrips[name].Value()
 	}
 	return st
 }
@@ -604,7 +569,7 @@ func (s *Service) Start() error {
 		defer close(s.httpDone)
 		// http.ErrServerClosed is the normal shutdown path.
 		if serr := s.srv.Serve(ln); serr != nil && serr != http.ErrServerClosed {
-			s.cfg.Logf("service: http server: %v", serr)
+			s.cfg.Logger.Error("service: http server", "err", serr)
 		}
 	}()
 	if s.cfg.PprofAddr != "" {
@@ -614,40 +579,38 @@ func (s *Service) Start() error {
 			return fmt.Errorf("service: pprof: %w", perr)
 		}
 		s.pprofAddr, s.pprofSrv = addr, psrv
-		s.cfg.Logf("service: pprof on %s", addr)
+		s.cfg.Logger.Info("service: pprof listening", "addr", addr)
 	}
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.startWorker(i)
 	}
 	s.recorder.SetProcess("resembled " + s.Addr())
-	if s.history != nil {
+	if s.ops.History != nil {
 		s.loops.Add(1)
-		go s.historyLoop()
+		go func() {
+			defer s.loops.Done()
+			s.ops.RecordHistory(s.stopCh, s.checkP99)
+		}()
 	}
 	s.loops.Add(1)
 	go s.watchdog()
-	if s.cfg.CheckpointPath != "" {
-		s.loops.Add(1)
-		go s.checkpointLoop()
-	}
 	if s.profiles != nil && s.profiles.cfg.autoEnabled() {
 		s.loops.Add(1)
 		go s.profileLoop()
 	}
-	s.cfg.Logf("service: ready on %s (%d workers, queue %d)",
-		s.Addr(), s.cfg.Workers, s.cfg.QueueDepth)
+	s.cfg.Logger.Info("service: ready", "addr", s.Addr(), "workers", s.cfg.Workers, "queue", s.cfg.QueueDepth)
 	return nil
 }
 
 // Drain gracefully stops the service: admission closes (new requests
 // get 503 + Retry-After), queued and in-flight work completes, the
-// background loops stop, a final checkpoint is written, and the HTTP
+// background loops stop, the state turns Stopped, and then the HTTP
 // server shuts down. Idempotent; every caller gets the same result.
 func (s *Service) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.state.Store(int32(Draining))
 		s.updateReady()
-		s.cfg.Logf("service: draining (queue depth %d)", s.queue.Depth())
+		s.cfg.Logger.Info("service: draining", "queue_depth", s.queue.Depth())
 		s.queue.Close()
 		close(s.stopCh)
 
@@ -664,15 +627,11 @@ func (s *Service) Drain(ctx context.Context) error {
 			s.drainErr = fmt.Errorf("service: drain timed out after %s", s.cfg.DrainTimeout)
 		}
 		s.loops.Wait()
+		// The engine is drained: report it before the HTTP front goes
+		// away, so a coordinator polling /healthz sees "stopped" rather
+		// than inferring it from a refused connection mid-shutdown.
+		s.state.Store(int32(Stopped))
 
-		if s.cfg.CheckpointPath != "" {
-			if err := s.writeCheckpoint(ctx); err != nil {
-				s.cfg.Logf("service: final checkpoint: %v", err)
-				if s.drainErr == nil {
-					s.drainErr = err
-				}
-			}
-		}
 		if s.srv != nil {
 			if s.aborted.Load() {
 				// Abort already closed the server; Serve has returned.
@@ -693,9 +652,8 @@ func (s *Service) Drain(ctx context.Context) error {
 				s.drainErr = fmt.Errorf("service: pprof shutdown: %w", err)
 			}
 		}
-		s.state.Store(int32(Stopped))
-		s.cfg.Logf("service: stopped (served %d, shed %d, failed %d)",
-			s.stats.completed.Load(), s.stats.shed.Load(), s.stats.failed.Load())
+		s.cfg.Logger.Info("service: stopped", "served", s.mCompleted.Value(),
+			"shed", s.mShed.Value(), "failed", s.mFailed.Value())
 		close(s.drained)
 	})
 	<-s.drained
@@ -714,7 +672,7 @@ func (s *Service) Abort() {
 	if s.srv == nil || !s.aborted.CompareAndSwap(false, true) {
 		return
 	}
-	s.cfg.Logf("service: ABORT: http front severed (simulated kill)")
+	s.cfg.Logger.Warn("service: ABORT: http front severed (simulated kill)")
 	_ = s.srv.Close()
 }
 func (s *Service) Close() error {
@@ -726,131 +684,13 @@ func (s *Service) Close() error {
 // Drained reports whether the service has fully stopped.
 func (s *Service) Drained() <-chan struct{} { return s.drained }
 
-// counter returns a registry counter handle (nil-safe when telemetry
-// is disabled).
-func (s *Service) counter(name string) *telemetry.Counter {
-	return s.cfg.Telemetry.Registry().Counter(name)
-}
-
-// historyLoop samples the metrics exposition into the history ring at
-// HistoryEvery (one immediate sample so even a short-lived service has
-// history) and checks the optional p99-breach incident trigger.
-func (s *Service) historyLoop() {
-	defer s.loops.Done()
-	t := time.NewTicker(s.cfg.HistoryEvery)
-	defer t.Stop()
-	s.history.Record(time.Now(), s.metricsSnapshot())
-	for {
-		select {
-		case <-t.C:
-			s.history.Record(time.Now(), s.metricsSnapshot())
-			if lim := s.cfg.IncidentP99MS; lim > 0 {
-				if p99 := s.hLatency.Snapshot().Summary.P99; p99 > lim {
-					s.recorder.Trigger("p99.breach",
-						fmt.Sprintf("service.request.latency.ms p99 %.1f > %.1f", p99, lim))
-				}
-			}
-		case <-s.stopCh:
-			return
+// checkP99 is the history tick's optional p99-breach incident trigger,
+// checked against the request-latency histogram.
+func (s *Service) checkP99() {
+	if lim := s.cfg.IncidentP99MS; lim > 0 {
+		if p99 := s.hLatency.Snapshot().Summary.P99; p99 > lim {
+			s.recorder.Trigger("p99.breach",
+				fmt.Sprintf("service.request.latency.ms p99 %.1f > %.1f", p99, lim))
 		}
 	}
-}
-
-// checkpointLoop periodically persists the service counters.
-func (s *Service) checkpointLoop() {
-	defer s.loops.Done()
-	t := time.NewTicker(s.cfg.CheckpointEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.CheckpointEvery)
-			if err := s.writeCheckpoint(ctx); err != nil {
-				s.cfg.Logf("service: periodic checkpoint: %v", err)
-			}
-			cancel()
-		case <-s.stopCh:
-			return
-		}
-	}
-}
-
-// serviceState is the gob mirror of the persisted counters.
-type serviceState struct {
-	Admitted, Completed, Shed, Rejected uint64
-	Failed, TimedOut                    uint64
-	Panics, Restarts, Wedged            uint64
-	BreakerTrips                        map[string]uint64
-}
-
-// writeCheckpoint persists the counters through the retrying atomic
-// writer; injected checkpoint faults (Chaos.CheckpointFailures) are
-// ridden out by the retry policy and surface in the retry counters.
-func (s *Service) writeCheckpoint(ctx context.Context) error {
-	// Aggregate-only attribution: the periodic persist runs outside any
-	// request span, so charge it as a named phase instead.
-	defer s.cfg.Telemetry.StartAllocPhase("service.checkpoint").End()
-	b := checkpoint.NewBuilder()
-	st := serviceState{
-		Admitted:     s.stats.admitted.Load(),
-		Completed:    s.stats.completed.Load(),
-		Shed:         s.stats.shed.Load(),
-		Rejected:     s.stats.rejected.Load(),
-		Failed:       s.stats.failed.Load(),
-		TimedOut:     s.stats.timedOut.Load(),
-		Panics:       s.stats.panics.Load(),
-		Restarts:     s.stats.restarts.Load(),
-		Wedged:       s.stats.wedged.Load(),
-		BreakerTrips: map[string]uint64{},
-	}
-	for name, br := range s.breakers {
-		st.BreakerTrips[name] = br.Trips()
-	}
-	if err := b.Add("service", func(w io.Writer) error { return writeGob(w, st) }); err != nil {
-		return err
-	}
-	pol := checkpoint.DefaultWriteRetry()
-	pol.Budget = s.budget
-	pol.OnRetry = func(attempt int, d time.Duration, err error) {
-		s.stats.ckpRetries.Add(1)
-		s.counter("service.checkpoint.retries").Inc()
-		s.cfg.Logf("service: checkpoint write attempt %d failed (%v); retrying in %s", attempt, err, d)
-	}
-	var wrap func(io.Writer) io.Writer
-	if s.cfg.Chaos != nil {
-		wrap = s.cfg.Chaos.wrapCheckpointWriter
-	}
-	err := b.WriteFileRetry(ctx, s.cfg.CheckpointPath, pol, wrap)
-	if err != nil {
-		s.stats.ckpFailures.Add(1)
-		s.counter("service.checkpoint.failures").Inc()
-		return err
-	}
-	s.stats.ckpWrites.Add(1)
-	s.counter("service.checkpoint.writes").Inc()
-	return nil
-}
-
-// loadCheckpoint restores persisted counters at startup (Resume).
-func (s *Service) loadCheckpoint() error {
-	f, err := checkpoint.ReadFile(s.cfg.CheckpointPath)
-	if err != nil {
-		return fmt.Errorf("service: resume: %w", err)
-	}
-	var st serviceState
-	if err := f.Load("service", func(r io.Reader) error { return readGob(r, &st) }); err != nil {
-		return fmt.Errorf("service: resume: %w", err)
-	}
-	s.stats.admitted.Store(st.Admitted)
-	s.stats.completed.Store(st.Completed)
-	s.stats.shed.Store(st.Shed)
-	s.stats.rejected.Store(st.Rejected)
-	s.stats.failed.Store(st.Failed)
-	s.stats.timedOut.Store(st.TimedOut)
-	s.stats.panics.Store(st.Panics)
-	s.stats.restarts.Store(st.Restarts)
-	s.stats.wedged.Store(st.Wedged)
-	// Breakers restart closed: the masking signal re-learns the state
-	// of the world faster than a stale open/half-open snapshot would.
-	return nil
 }

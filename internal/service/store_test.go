@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"resemble/internal/cas"
-	"resemble/internal/checkpoint"
 	"resemble/internal/telemetry"
 )
 
@@ -211,16 +210,14 @@ func TestResumeValidation(t *testing.T) {
 }
 
 // TestAbortDuringCheckpointWritesLeavesNoTornState races Abort()
-// against in-flight periodic checkpoint writes — both the service
-// counter checkpoint and the per-run store checkpoints. Abort severs
-// the HTTP front mid-write from the clients' point of view, but every
-// durable write is atomic (temp + rename): after the drain no torn
-// temp file may survive anywhere, the counter checkpoint must parse
-// clean, and a fresh store open's recovery sweep must report clean.
+// against in-flight periodic run checkpoints into the artifact store.
+// Abort severs the HTTP front mid-write from the clients' point of
+// view, but every durable write is atomic (temp + rename): after the
+// drain no torn temp file may survive anywhere, and a fresh store
+// open's recovery sweep must report clean.
 func TestAbortDuringCheckpointWritesLeavesNoTornState(t *testing.T) {
 	dir := t.TempDir()
 	storeDir := filepath.Join(dir, "store")
-	ckpPath := filepath.Join(dir, "service.ckpt")
 	store, rep, err := cas.Open(storeDir)
 	if err != nil {
 		t.Fatal(err)
@@ -231,8 +228,6 @@ func TestAbortDuringCheckpointWritesLeavesNoTornState(t *testing.T) {
 	s := startService(t, func(c *Config) {
 		c.Store = store
 		c.RunCheckpointEvery = 512
-		c.CheckpointPath = ckpPath
-		c.CheckpointEvery = 5 * time.Millisecond
 	})
 
 	var wg sync.WaitGroup
@@ -247,9 +242,8 @@ func TestAbortDuringCheckpointWritesLeavesNoTornState(t *testing.T) {
 			})
 		}(int64(i))
 	}
-	// Sever the front only once checkpoints of both kinds are in flight.
+	// Sever the front only once run checkpoints are in flight.
 	waitStat(t, "run checkpoint writes", 2, func() uint64 { return s.Stats().RunCkpWrites })
-	waitStat(t, "service checkpoint writes", 1, func() uint64 { return s.Stats().CkpWrites })
 	s.Abort()
 	wg.Wait()
 	if err := s.Close(); err != nil {
@@ -267,9 +261,6 @@ func TestAbortDuringCheckpointWritesLeavesNoTornState(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := checkpoint.ReadFile(ckpPath); err != nil {
-		t.Errorf("service checkpoint did not survive the abort intact: %v", err)
 	}
 	if _, rep, err := cas.Open(storeDir); err != nil || !rep.Clean() {
 		t.Errorf("store recovery sweep after abort: report %v, err %v", rep, err)

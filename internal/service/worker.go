@@ -95,10 +95,9 @@ func (s *Service) workerLoop(i, crashes int) {
 			s.workers.Done()
 			return
 		}
-		s.stats.restarts.Add(1)
-		s.counter("service.workers.restarts").Inc()
+		s.mRestarts.Inc()
 		delay := restartBackoff.Delay(crashes + 1)
-		s.cfg.Logf("service: worker %d crashed (%v); restarting in %s", i, r, delay)
+		s.cfg.Logger.Warn("service: worker crashed; restarting", "worker", i, "panic", fmt.Sprint(r), "delay", delay)
 		s.recorder.Trigger("panic.restart", fmt.Sprintf("worker %d: %v", i, r))
 		go func() {
 			t := time.NewTimer(delay)
@@ -147,10 +146,9 @@ func (s *Service) watchdog() {
 					continue
 				}
 				if s.busy[i].reported.CompareAndSwap(false, true) {
-					s.stats.wedged.Add(1)
-					s.counter("service.workers.wedged").Inc()
+					s.mWedged.Inc()
 					label, _ := s.busy[i].label.Load().(string)
-					s.cfg.Logf("service: worker %d wedged on %q for > %s", i, label, limit)
+					s.cfg.Logger.Warn("service: worker wedged", "worker", i, "task", label, "limit", limit)
 					s.recorder.Note("wedge", fmt.Sprintf("worker %d on %q", i, label))
 				}
 			}
@@ -186,10 +184,8 @@ func (s *Service) serve(i int, t *task) {
 		slot.reported.Store(false)
 		t.cancel()
 		if r := recover(); r != nil {
-			s.stats.panics.Add(1)
-			s.counter("service.workers.panics").Inc()
-			s.stats.failed.Add(1)
-			s.counter("service.requests.failed").Inc()
+			s.mPanics.Inc()
+			s.mFailed.Inc()
 			s.commits.commit(t.seq, nil)
 			t.finish(http.StatusInternalServerError,
 				Response{Error: fmt.Sprintf("internal error: simulation panicked: %v", r)})
@@ -208,8 +204,7 @@ func (s *Service) serve(i int, t *task) {
 	resp, status, err := s.simulate(t)
 	switch {
 	case err == nil:
-		s.stats.completed.Add(1)
-		s.counter("service.requests.completed").Inc()
+		s.mCompleted.Inc()
 		if t.req.ReturnSpans {
 			// Seal the service-level spans before the response ships so
 			// the coordinator's stitched trace carries the whole
@@ -224,8 +219,7 @@ func (s *Service) serve(i int, t *task) {
 	case errors.Is(err, sim.ErrInterrupted) || errors.Is(err, context.DeadlineExceeded):
 		s.timeout(t)
 	default:
-		s.stats.failed.Add(1)
-		s.counter("service.requests.failed").Inc()
+		s.mFailed.Inc()
 		s.commits.commit(t.seq, nil)
 		t.finish(status, Response{Error: err.Error()})
 	}
@@ -233,8 +227,7 @@ func (s *Service) serve(i int, t *task) {
 
 // timeout answers a deadline-expired task.
 func (s *Service) timeout(t *task) {
-	s.stats.timedOut.Add(1)
-	s.counter("service.requests.timeout").Inc()
+	s.mTimedOut.Inc()
 	s.commits.commit(t.seq, nil)
 	t.finish(http.StatusGatewayTimeout,
 		Response{Error: fmt.Sprintf("deadline exceeded after %s", s.cfg.RequestTimeout)})
@@ -290,18 +283,20 @@ func (s *Service) simulate(t *task) (Response, int, error) {
 	if store != nil && canCkp {
 		key = RunKey(req)
 		sink := func(blob []byte, cursor int) error {
-			id, perr := store.PutTagged(cas.KindCheckpoint, blob,
-				CheckpointTag(key, cursor), CheckpointLatestTag(key))
+			var id cas.ID
+			perr := s.cfg.Chaos.checkpointFault()
+			if perr == nil {
+				id, perr = store.PutTagged(cas.KindCheckpoint, blob,
+					CheckpointTag(key, cursor), CheckpointLatestTag(key))
+			}
 			if perr != nil {
 				// Durability degrades; run correctness is unaffected.
-				s.stats.runCkpFailures.Add(1)
-				s.counter("service.run.checkpoint.failures").Inc()
-				s.cfg.Logf("service: run checkpoint (run %.12s…, cursor %d): %v", key, cursor, perr)
+				s.mRunCkpFailures.Inc()
+				s.cfg.Logger.Warn("service: run checkpoint failed", "run", key[:12], "cursor", cursor, "err", perr)
 				return nil
 			}
 			lastCkpID = id.String()
-			s.stats.runCkpWrites.Add(1)
-			s.counter("service.run.checkpoint.writes").Inc()
+			s.mRunCkpWrites.Inc()
 			return nil
 		}
 		storeOpts = []sim.Option{
@@ -361,8 +356,7 @@ func (s *Service) simulate(t *task) (Response, int, error) {
 		return Response{}, http.StatusInternalServerError, err
 	}
 	if resumedFrom != "" {
-		s.stats.resumes.Add(1)
-		s.counter("service.runs.resumed").Inc()
+		s.mResumes.Inc()
 	}
 	if store != nil && canCkp {
 		// The run completed: its checkpoints have served their purpose.
@@ -370,15 +364,14 @@ func (s *Service) simulate(t *task) (Response, int, error) {
 		// only checkpoints of in-flight (or interrupted) runs.
 		if n, uerr := store.UntagPrefix(CheckpointTagPrefix(key)); uerr == nil && n > 0 {
 			if _, _, gerr := store.GC(); gerr != nil {
-				s.cfg.Logf("service: store GC after run %.12s…: %v", key, gerr)
+				s.cfg.Logger.Warn("service: store GC after run", "run", key[:12], "err", gerr)
 			}
 		}
 	}
 
 	masked := s.reportArms(probe, armIdx)
 	if len(masked) > 0 {
-		s.stats.maskedRuns.Add(1)
-		s.counter("service.runs.masked").Inc()
+		s.mMaskedRuns.Inc()
 	}
 	s.commits.commit(t.seq, child)
 	// Merge leaves the child's window slice intact, so the shipped
@@ -456,9 +449,8 @@ func (s *Service) fetchResume(store *cas.Store, from string) []byte {
 // noteResumeFallback accounts one requested resume that degraded to a
 // scratch run.
 func (s *Service) noteResumeFallback(from string, err error) {
-	s.stats.resumeFallbacks.Add(1)
-	s.counter("service.runs.resume_fallback").Inc()
-	s.cfg.Logf("service: resume from %.12s… fell back to scratch: %v", from, err)
+	s.mResumeFallbacks.Inc()
+	s.cfg.Logger.Warn("service: resume fell back to scratch", "from", from, "err", err)
 }
 
 // BuildSource builds the prefetch source the service would simulate

@@ -131,11 +131,15 @@ func (c *Collector) StartAllocPhase(name string) AllocPhase {
 	return AllocPhase{c: c, name: name, start: readAllocTick()}
 }
 
-// End closes the phase and charges the allocation delta.
+// End closes the phase and charges the allocation delta. The nil guard
+// inlines; the runtime read is outlined in end.
 func (p AllocPhase) End() {
-	if p.c == nil {
-		return
+	if p.c != nil {
+		p.end()
 	}
+}
+
+func (p AllocPhase) end() {
 	now := readAllocTick()
 	p.c.recordPhaseAlloc(p.name, now.bytes-p.start.bytes, now.objects-p.start.objects)
 }

@@ -57,6 +57,10 @@ func (c *Collector) ExplainTick() bool {
 	if c == nil || c.cfg.ExplainSample <= 0 {
 		return false
 	}
+	return c.explainTick()
+}
+
+func (c *Collector) explainTick() bool {
 	c.obsMu.Lock()
 	n := c.explainN
 	c.explainN++

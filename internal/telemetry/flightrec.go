@@ -126,10 +126,14 @@ func (r *FlightRecorder) SetProcess(name string) {
 
 // Note appends one event to the ring. Nil-safe and cheap: events are
 // breadcrumbs (a hedge fired, a breaker transitioned), not triggers.
+// The nil guard inlines; the append is outlined in note.
 func (r *FlightRecorder) Note(kind, detail string) {
-	if r == nil {
-		return
+	if r != nil {
+		r.note(kind, detail)
 	}
+}
+
+func (r *FlightRecorder) note(kind, detail string) {
 	e := RecorderEvent{TMS: time.Now().UnixMilli(), Kind: kind, Detail: detail}
 	r.mu.Lock()
 	if r.evN < len(r.events) {
@@ -145,12 +149,16 @@ func (r *FlightRecorder) Note(kind, detail string) {
 // Trigger notes the event and captures an incident bundle unless one
 // was captured within MinInterval (returns nil when suppressed, so
 // callers can chain fleet-bundle assembly off a real capture only).
-// Nil-safe.
+// Nil-safe; the guard inlines and the capture path is outlined.
 func (r *FlightRecorder) Trigger(trigger, detail string) *Incident {
 	if r == nil {
 		return nil
 	}
-	r.Note(trigger, detail)
+	return r.trigger(trigger, detail)
+}
+
+func (r *FlightRecorder) trigger(trigger, detail string) *Incident {
+	r.note(trigger, detail)
 	now := time.Now()
 	r.mu.Lock()
 	if !r.lastAuto.IsZero() && now.Sub(r.lastAuto) < r.cfg.MinInterval {

@@ -162,11 +162,15 @@ func (s *Span) Ref() SpanRef {
 	return SpanRef{ID: s.id, Track: s.track}
 }
 
-// End finishes the span and records it. Idempotent and nil-safe.
+// End finishes the span and records it. Idempotent and nil-safe; the
+// guard inlines and the recording is outlined in end.
 func (s *Span) End() {
-	if s == nil || s.done {
-		return
+	if s != nil && !s.done {
+		s.end()
 	}
+}
+
+func (s *Span) end() {
 	s.done = true
 	now := time.Now()
 	rec := SpanRecord{
@@ -265,6 +269,10 @@ func (c *Collector) RunSpanChild(name string) *Span {
 	if c == nil {
 		return nil
 	}
+	return c.runSpanChild(name)
+}
+
+func (c *Collector) runSpanChild(name string) *Span {
 	c.obsMu.Lock()
 	rs := c.runSpan
 	c.obsMu.Unlock()
