@@ -61,7 +61,7 @@ func main() {
 		soakFor    = flag.Duration("soak.duration", 10*time.Second, "approximate soak length")
 		soakAccess = flag.Int("soak.accesses", 4000, "trace length per soak request")
 		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off); drained with the service")
-		profDir    = flag.String("profile-dir", "", "enable the profile capture manager (POST /debug/profile/capture) writing under this directory")
+		profDir    = flag.String("profile-dir", "", "write CPU+heap profiles of manual incident captures (POST /debug/incidents/capture?cpu_ms=N) under this directory (implies a telemetry collector)")
 		allocAttr  = flag.Bool("alloc-attribution", true, "per-phase allocation attribution in telemetry (requires a telemetry sink to surface)")
 	)
 	flag.Parse()
@@ -83,7 +83,7 @@ func main() {
 	}
 
 	var tel *telemetry.Collector
-	if *telDir != "" || *chromeOut != "" || *explainN > 0 {
+	if *telDir != "" || *chromeOut != "" || *explainN > 0 || *profDir != "" {
 		tel, err = telemetry.New(telemetry.Config{
 			Dir:              *telDir,
 			ChromeOut:        *chromeOut,
@@ -124,7 +124,7 @@ func main() {
 		Telemetry:          tel,
 		Logger:             logger,
 		PprofAddr:          *pprofAddr,
-		Profile:            service.ProfileConfig{Dir: *profDir},
+		ProfileDir:         *profDir,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "resembled: %v\n", err)

@@ -290,6 +290,8 @@ func (k *soak) auditFlightRecorder(addr string) {
 		k.failf("breaker.trip incident has no breadcrumbs")
 	case len(trip.History) == 0:
 		k.failf("breaker.trip incident embeds no metrics history")
+	case trip.Profile != nil:
+		k.failf("breaker.trip incident carries a profile (automatic triggers must not profile): %+v", trip.Profile)
 	default:
 		k.passf("breaker trip captured as incident %d with %d history sample(s)",
 			trip.Seq, len(trip.History))
@@ -323,40 +325,42 @@ func (k *soak) auditFlightRecorder(addr string) {
 	}
 }
 
-// auditCapture takes an on-demand profile capture over HTTP and
-// validates the manifest: files on disk, decoded top alloc symbols.
+// auditCapture takes an on-demand incident capture over HTTP and
+// validates its profile evidence: files on disk, decoded top alloc
+// symbols.
 func (k *soak) auditCapture(addr string) {
-	resp, err := http.Post("http://"+addr+"/debug/profile/capture?cpu_ms=50", "", nil)
+	resp, err := http.Post("http://"+addr+"/debug/incidents/capture?cpu_ms=50", "", nil)
 	if err != nil {
-		k.failf("profile capture: %v", err)
+		k.failf("incident capture: %v", err)
 		return
 	}
 	defer resp.Body.Close()
-	var info service.CaptureInfo
-	if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-		k.failf("capture manifest decode (status %d): %v", resp.StatusCode, err)
+	var inc telemetry.Incident
+	if err := json.NewDecoder(resp.Body).Decode(&inc); err != nil {
+		k.failf("incident capture decode (status %d): %v", resp.StatusCode, err)
 		return
 	}
-	if resp.StatusCode != http.StatusOK {
-		k.failf("capture status %d: %s", resp.StatusCode, info.Error)
+	prof := inc.Profile
+	switch {
+	case resp.StatusCode != http.StatusOK:
+		k.failf("incident capture status %d", resp.StatusCode)
+		return
+	case inc.Seq < 1 || prof == nil || len(prof.Files) == 0:
+		k.failf("incident %d profile incomplete: %+v", inc.Seq, prof)
 		return
 	}
-	if info.Seq < 1 || len(info.Files) == 0 {
-		k.failf("capture manifest incomplete: %+v", info)
-		return
-	}
-	for _, f := range info.Files {
-		if _, err := os.Stat(filepath.Join(info.Dir, f)); err != nil {
-			k.failf("capture file %s: %v", f, err)
+	for _, f := range prof.Files {
+		if _, err := os.Stat(filepath.Join(prof.Dir, f)); err != nil {
+			k.failf("profile file %s: %v", f, err)
 			return
 		}
 	}
-	if len(info.TopAllocSpace) == 0 {
-		k.failf("capture manifest has no decoded alloc symbols")
+	if len(prof.TopAllocSpace) == 0 {
+		k.failf("incident profile has no decoded alloc symbols")
 		return
 	}
-	k.passf("on-demand capture %d: %v, top alloc %s",
-		info.Seq, info.Files, info.TopAllocSpace[0].Func)
+	k.passf("on-demand incident %d: %v, top alloc %s",
+		inc.Seq, prof.Files, prof.TopAllocSpace[0].Func)
 }
 
 // phaseChaosAndRecovery runs the fault window — stuck arm, failing
@@ -398,7 +402,7 @@ func (k *soak) phaseChaosAndRecovery() {
 		// Dense metrics-history sampling so the breaker-trip incident
 		// below embeds a real pre-incident window.
 		HistoryEvery: 50 * time.Millisecond,
-		Profile:      service.ProfileConfig{Dir: filepath.Join(dir, "profiles"), Ring: 2},
+		ProfileDir:   filepath.Join(dir, "profiles"),
 		// Dense run checkpoints so the injected write failures hit the
 		// first chaos run and later runs still checkpoint.
 		Store:              store,

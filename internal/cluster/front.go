@@ -333,7 +333,7 @@ func (f *Front) Start() error {
 		f.histDone = make(chan struct{})
 		go func() {
 			defer close(f.histDone)
-			f.ops.RecordHistory(f.histStop, nil)
+			f.ops.RecordHistory(f.histStop)
 		}()
 	}
 	f.cfg.Logger.Info("cluster: front door ready", "addr", f.Addr(), "backends", f.ring.Backends())
@@ -812,13 +812,6 @@ func (f *Front) Stats() Stats {
 func (f *Front) metricsSnapshot() telemetry.RegistrySnapshot {
 	telemetry.UpdateRuntimeGauges(f.reg, f.start)
 	snap := f.reg.Snapshot()
-	// Aliases under the names operators alert on: hedge.won completes
-	// the won/lost/cancelled outcome triple that sums to hedges, and
-	// retry.budget.exhausted (cluster_retry_budget_exhausted_total)
-	// marks each failover the shared token bucket refused — the moment
-	// the fleet stopped amplifying what looks like a correlated outage.
-	snap.Counters["cluster.hedge.won"] = snap.Counters["cluster.hedge.wins"]
-	snap.Counters["cluster.retry.budget.exhausted"] = snap.Counters["cluster.retries.denied"]
 	snap.Gauges["cluster.retry.budget"] = f.budget.Tokens()
 	snap.Gauges["cluster.inflight"] = float64(len(f.tokens))
 	snap.Gauges["cluster.inflight.max"] = float64(cap(f.tokens))

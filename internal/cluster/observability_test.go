@@ -218,7 +218,7 @@ func TestStitchedSpanTreeEqualAcrossWorkerCounts(t *testing.T) {
 
 // TestFrontHedgeOutcomeCounters: a winning hedge and a cancelled hedge
 // each resolve into exactly one outcome counter, and the outcome
-// triple reaches /metrics as cluster_hedge_{won,lost,cancelled}_total.
+// triple reaches /metrics as cluster_hedge_{wins,lost,cancelled}_total.
 func TestFrontHedgeOutcomeCounters(t *testing.T) {
 	t.Run("won", func(t *testing.T) {
 		f, fakes := testFleet(t, 3, func(c *Config) { c.HedgeAfter = 25 * time.Millisecond })
@@ -234,7 +234,7 @@ func TestFrontHedgeOutcomeCounters(t *testing.T) {
 		}
 		text := scrapeMetrics(t, f)
 		for _, want := range []string{
-			"cluster_hedge_won_total 1",
+			"cluster_hedge_wins_total 1",
 			"cluster_hedge_lost_total 0",
 		} {
 			if !strings.Contains(text, want) {
@@ -442,5 +442,21 @@ func TestFrontIncidentCaptureDisabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/debug/incidents without telemetry: %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestFrontIncidentCaptureRejectsBadCPUWindow: the shared capture
+// endpoint validates cpu_ms on the front door as on a backend.
+func TestFrontIncidentCaptureRejectsBadCPUWindow(t *testing.T) {
+	f, _ := testFleet(t, 1, func(c *Config) { c.Telemetry = newKeepCollector(t) })
+	for _, q := range []string{"?cpu_ms=-1", "?cpu_ms=x"} {
+		resp, err := http.Post("http://"+f.Addr()+"/debug/incidents/capture"+q, "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("capture%s: status %d, want 400", q, resp.StatusCode)
+		}
 	}
 }

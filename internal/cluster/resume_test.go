@@ -216,7 +216,7 @@ func TestEvery503PathSetsRetryAfter(t *testing.T) {
 }
 
 // TestRetryBudgetExhaustedMetric: a denied failover surfaces as the
-// cluster_retry_budget_exhausted_total counter on /metrics.
+// cluster_retries_denied_total counter on /metrics.
 func TestRetryBudgetExhaustedMetric(t *testing.T) {
 	// A sub-token budget denies the very first failover.
 	f, fakes := testFleet(t, 2, func(c *Config) { c.RetryBudget = 0.5 })
@@ -237,7 +237,7 @@ func TestRetryBudgetExhaustedMetric(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	text, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(text), "cluster_retry_budget_exhausted_total 1") {
-		t.Fatalf("/metrics missing cluster_retry_budget_exhausted_total 1 in:\n%s", text)
+	if !strings.Contains(string(text), "cluster_retries_denied_total 1") {
+		t.Fatalf("/metrics missing cluster_retries_denied_total 1 in:\n%s", text)
 	}
 }

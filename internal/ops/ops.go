@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"time"
 
 	"resemble/internal/telemetry"
@@ -62,6 +63,7 @@ type Surface[I any] struct {
 //	GET  /metrics/history         periodic registry samples (fixed-size ring)
 //	GET  /debug/incidents         retained incident bundles
 //	POST /debug/incidents/capture snapshot an incident bundle now
+//	                              (?cpu_ms= sets the profile window)
 //	GET  /debug/flightrec         raw recorder ring snapshot (no incident)
 //	POST /drain                   begin graceful shutdown (202)
 func (o *Surface[I]) Register(mux *http.ServeMux) {
@@ -78,9 +80,8 @@ func (o *Surface[I]) Register(mux *http.ServeMux) {
 
 // RecordHistory samples the exposition into History (which must be
 // non-nil) once immediately, so even a short-lived daemon has history,
-// and then every HistoryEvery until stop closes, calling onTick (when
-// non-nil) after each periodic sample.
-func (o *Surface[I]) RecordHistory(stop <-chan struct{}, onTick func()) {
+// and then every HistoryEvery until stop closes.
+func (o *Surface[I]) RecordHistory(stop <-chan struct{}) {
 	o.History.Record(time.Now(), o.Snapshot())
 	t := time.NewTicker(o.HistoryEvery)
 	defer t.Stop()
@@ -88,9 +89,6 @@ func (o *Surface[I]) RecordHistory(stop <-chan struct{}, onTick func()) {
 		select {
 		case now := <-t.C:
 			o.History.Record(now, o.Snapshot())
-			if onTick != nil {
-				onTick()
-			}
 		case <-stop:
 			return
 		}
@@ -166,13 +164,25 @@ func (o *Surface[I]) handleIncidents(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleCapture snapshots an incident bundle on demand, bypassing the
-// automatic-trigger rate limit.
-func (o *Surface[I]) handleCapture(w http.ResponseWriter, _ *http.Request) {
+// automatic-trigger rate limit. On a recorder with a profile directory
+// the bundle carries profile evidence over a CPU window of ?cpu_ms=
+// (default telemetry.DefaultProfileCPU, capped at MaxProfileCPU; 0
+// takes the heap profile only).
+func (o *Surface[I]) handleCapture(w http.ResponseWriter, r *http.Request) {
+	cpu := telemetry.DefaultProfileCPU
+	if q := r.URL.Query().Get("cpu_ms"); q != "" {
+		ms, err := strconv.ParseInt(q, 10, 64)
+		if err != nil || ms < 0 {
+			WriteJSON(w, http.StatusBadRequest, map[string]string{"error": "cpu_ms must be a non-negative integer"})
+			return
+		}
+		cpu = time.Duration(min(ms, telemetry.MaxProfileCPU.Milliseconds())) * time.Millisecond
+	}
 	if o.Recorder == nil {
 		Unavailable(w, "disabled", "flight recorder disabled (no telemetry collector)")
 		return
 	}
-	inc := o.Recorder.Capture("manual: POST /debug/incidents/capture", "")
+	inc := o.Recorder.CaptureProfiled("manual: POST /debug/incidents/capture", "", cpu)
 	WriteJSON(w, http.StatusOK, o.Bundle(inc))
 }
 

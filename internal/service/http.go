@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
 
 	"resemble/internal/cas"
 	"resemble/internal/ops"
@@ -110,21 +109,14 @@ type Response struct {
 // /readyz, /stats, /metrics, /metrics/history, POST /drain and the
 // flight-recorder endpoints /debug/incidents, POST
 // /debug/incidents/capture and /debug/flightrec (empty results, or a
-// 503 for capture, when telemetry is off).
-//
-// When the capture manager is configured (Config.Profile.Dir):
-//
-//	POST /debug/profile/capture   take a CPU+heap capture now
-//	GET  /debug/profile/captures  list the retained capture manifests
+// 503 for capture, when telemetry is off). With Config.ProfileDir set,
+// a capture's bundle also carries CPU (?cpu_ms=, default 2000) and
+// heap profile evidence.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/run", s.handleRun)
 	mux.HandleFunc("GET /v1/explain", s.handleExplain)
 	s.ops.Register(mux)
-	if s.profiles != nil {
-		mux.HandleFunc("POST /debug/profile/capture", s.handleProfileCapture)
-		mux.HandleFunc("GET /debug/profile/captures", s.handleProfileList)
-	}
 	return mux
 }
 
@@ -296,36 +288,6 @@ func (s *Service) readiness() (int, any) {
 		}
 	}
 	return http.StatusServiceUnavailable, map[string]any{"status": "unavailable", "reason": reason}
-}
-
-// handleProfileCapture takes an on-demand capture. ?cpu_ms= overrides
-// the CPU window (0 skips it); the heap snapshot is always taken.
-func (s *Service) handleProfileCapture(w http.ResponseWriter, r *http.Request) {
-	cpuDur := time.Duration(-1) // configured default
-	if q := r.URL.Query().Get("cpu_ms"); q != "" {
-		ms, err := strconv.Atoi(q)
-		if err != nil || ms < 0 {
-			ops.WriteJSON(w, http.StatusBadRequest, Response{Error: "cpu_ms must be a non-negative integer"})
-			return
-		}
-		cpuDur = time.Duration(ms) * time.Millisecond
-	}
-	p99 := s.hLatency.Snapshot().Summary.P99
-	info, err := s.profiles.Capture("manual: POST /debug/profile/capture", cpuDur, p99, 0)
-	if err != nil {
-		ops.WriteJSON(w, http.StatusInternalServerError, Response{Error: err.Error()})
-		return
-	}
-	ops.WriteJSON(w, http.StatusOK, info)
-}
-
-// handleProfileList returns the retained capture manifests.
-func (s *Service) handleProfileList(w http.ResponseWriter, _ *http.Request) {
-	list := s.profiles.List()
-	if list == nil {
-		list = []CaptureInfo{}
-	}
-	ops.WriteJSON(w, http.StatusOK, map[string]any{"count": len(list), "captures": list})
 }
 
 // handleExplain returns the most recent sampled RL decision records

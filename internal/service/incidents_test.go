@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"resemble/internal/pprofparse"
 	"resemble/internal/telemetry"
 )
 
@@ -247,5 +249,98 @@ func TestIncidentEndpointsDisabledWithoutTelemetry(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/metrics/history without telemetry: %d", resp.StatusCode)
+	}
+}
+
+// captureIncident posts a manual incident capture with the given query
+// and decodes the bundle.
+func captureIncident(t *testing.T, s *Service, query string) (int, telemetry.Incident) {
+	t.Helper()
+	resp, err := http.Post("http://"+s.Addr()+"/debug/incidents/capture"+query, "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var inc telemetry.Incident
+	if resp.StatusCode == http.StatusOK {
+		if err := json.NewDecoder(resp.Body).Decode(&inc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return resp.StatusCode, inc
+}
+
+// TestIncidentCaptureWritesProfiles: with ProfileDir set, a manual
+// capture's bundle carries a CPU and a heap profile on disk that
+// pprofparse decodes, plus the decoded top alloc_space symbols, and
+// /debug/incidents lists the same evidence.
+func TestIncidentCaptureWritesProfiles(t *testing.T) {
+	tel, err := telemetry.New(telemetry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	s := startService(t, func(c *Config) {
+		c.Telemetry = tel
+		c.ProfileDir = dir
+	})
+	status, inc := captureIncident(t, s, "?cpu_ms=20")
+	if status != http.StatusOK {
+		t.Fatalf("capture: status %d", status)
+	}
+	prof := inc.Profile
+	if prof == nil || prof.Error != "" {
+		t.Fatalf("bundle profile = %+v, want evidence without error", prof)
+	}
+	if filepath.Dir(prof.Dir) != dir || filepath.Base(prof.Dir) != "incident-0001" {
+		t.Errorf("profile dir %q, want %s/incident-0001", prof.Dir, dir)
+	}
+	if len(prof.Files) != 2 || prof.Files[0] != "cpu.pprof" || prof.Files[1] != "heap.pprof" {
+		t.Fatalf("profile files %v, want [cpu.pprof heap.pprof]", prof.Files)
+	}
+	for _, f := range prof.Files {
+		if _, err := pprofparse.ParseFile(filepath.Join(prof.Dir, f)); err != nil {
+			t.Errorf("%s does not decode: %v", f, err)
+		}
+	}
+	if len(prof.TopAllocSpace) == 0 {
+		t.Error("bundle has no decoded top alloc_space symbols")
+	}
+
+	var list struct {
+		Incidents []telemetry.Incident `json:"incidents"`
+	}
+	getJSON(t, "http://"+s.Addr()+"/debug/incidents", &list)
+	if len(list.Incidents) != 1 || list.Incidents[0].Profile == nil || list.Incidents[0].Profile.Dir != prof.Dir {
+		t.Fatalf("/debug/incidents = %+v, want the profiled bundle", list.Incidents)
+	}
+}
+
+// TestIncidentCaptureRejectsBadCPUWindow: a negative or malformed
+// cpu_ms is a client error, not a default window.
+func TestIncidentCaptureRejectsBadCPUWindow(t *testing.T) {
+	tel, err := telemetry.New(telemetry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startService(t, func(c *Config) {
+		c.Telemetry = tel
+		c.ProfileDir = t.TempDir()
+	})
+	for _, q := range []string{"?cpu_ms=-1", "?cpu_ms=x"} {
+		if status, _ := captureIncident(t, s, q); status != http.StatusBadRequest {
+			t.Errorf("capture%s: status %d, want 400", q, status)
+		}
+	}
+	if got := len(s.recorder.Incidents()); got != 0 {
+		t.Errorf("rejected captures retained %d incidents", got)
+	}
+}
+
+// TestIncidentProfileDirRequiresTelemetry: profiles ride in incident
+// bundles, so a ProfileDir without a collector is a configuration error.
+func TestIncidentProfileDirRequiresTelemetry(t *testing.T) {
+	if _, err := New(Config{ProfileDir: t.TempDir()}); err == nil {
+		t.Fatal("New accepted ProfileDir without Telemetry")
 	}
 }

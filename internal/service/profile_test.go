@@ -1,153 +1,11 @@
 package service
 
 import (
-	"encoding/json"
 	"net/http"
-	"os"
-	"path/filepath"
 	"testing"
-	"time"
 
-	"resemble/internal/pprofparse"
 	"resemble/internal/telemetry"
 )
-
-// allocSink keeps the auto-trigger test's allocations live so the
-// compiler cannot elide them.
-var allocSink []byte
-
-// TestProfileCaptureEndpoint: POST /debug/profile/capture takes a
-// manifest-stamped capture whose heap profile round-trips through
-// pprofparse, GET lists it, and the ring evicts oldest-first.
-func TestProfileCaptureEndpoint(t *testing.T) {
-	dir := t.TempDir()
-	s := startService(t, func(c *Config) {
-		c.Profile = ProfileConfig{Dir: dir, Ring: 2}
-	})
-
-	capture := func() CaptureInfo {
-		t.Helper()
-		resp, err := http.Post("http://"+s.Addr()+"/debug/profile/capture?cpu_ms=20", "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var info CaptureInfo
-		if err := json.NewDecoder(resp.Body).Decode(&info); err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("capture status %d (%+v)", resp.StatusCode, info)
-		}
-		return info
-	}
-
-	first := capture()
-	if first.Seq != 1 || first.Reason == "" || first.Start == "" {
-		t.Errorf("manifest not stamped: %+v", first)
-	}
-	// The capture directory holds the profiles plus capture.json, and
-	// the heap profile decodes with the standard heap sample types.
-	heap := filepath.Join(first.Dir, "heap.pprof")
-	p, err := pprofparse.ParseFile(heap)
-	if err != nil {
-		t.Fatalf("heap profile does not round-trip: %v", err)
-	}
-	if p.TypeIndex("alloc_space") < 0 {
-		t.Errorf("alloc_space missing from capture profile: %+v", p.SampleTypes)
-	}
-	if len(first.TopAllocSpace) == 0 {
-		t.Error("manifest missing decoded top alloc symbols")
-	}
-	if _, err := os.Stat(filepath.Join(first.Dir, "capture.json")); err != nil {
-		t.Errorf("capture.json missing: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(first.Dir, "cpu.pprof")); err != nil {
-		t.Errorf("cpu.pprof missing: %v (info: %+v)", err, first)
-	}
-
-	second := capture()
-	third := capture()
-	if third.Seq != 3 {
-		t.Errorf("seq = %d, want 3", third.Seq)
-	}
-	// Ring of 2: the first capture's directory is evicted.
-	if _, err := os.Stat(first.Dir); !os.IsNotExist(err) {
-		t.Errorf("oldest capture not evicted: stat err = %v", err)
-	}
-	if _, err := os.Stat(second.Dir); err != nil {
-		t.Errorf("second capture evicted too early: %v", err)
-	}
-
-	resp, err := http.Get("http://" + s.Addr() + "/debug/profile/captures")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var list struct {
-		Count    int           `json:"count"`
-		Captures []CaptureInfo `json:"captures"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&list); err != nil {
-		t.Fatal(err)
-	}
-	if list.Count != 2 || len(list.Captures) != 2 || list.Captures[0].Seq != 2 {
-		t.Errorf("capture list = %+v, want captures 2 and 3", list)
-	}
-}
-
-// TestProfileRoutesAbsentWhenDisabled: without Profile.Dir the debug
-// routes do not exist.
-func TestProfileRoutesAbsentWhenDisabled(t *testing.T) {
-	s := startService(t, nil)
-	resp, err := http.Post("http://"+s.Addr()+"/debug/profile/capture", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Errorf("capture route on disabled service: status %d, want 404", resp.StatusCode)
-	}
-}
-
-// TestProfileAutoTrigger: the monitor loop fires a capture when the
-// allocation rate crosses the configured threshold, and respects the
-// rate limit.
-func TestProfileAutoTrigger(t *testing.T) {
-	dir := t.TempDir()
-	s := startService(t, func(c *Config) {
-		c.Profile = ProfileConfig{
-			Dir:                  dir,
-			Ring:                 4,
-			CPUDuration:          10 * time.Millisecond,
-			AutoAllocBytesPerSec: 1, // any allocation at all trips it
-			AutoMinInterval:      time.Hour,
-			AutoTick:             10 * time.Millisecond,
-		}
-	})
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if len(s.profiles.List()) >= 1 {
-			break
-		}
-		allocSink = make([]byte, 1<<20) // keep the alloc rate comfortably above threshold
-		time.Sleep(10 * time.Millisecond)
-	}
-	_ = allocSink
-	list := s.profiles.List()
-	if len(list) < 1 {
-		t.Fatal("auto capture never fired")
-	}
-	if list[0].AllocBytesPerSec <= 0 {
-		t.Errorf("auto capture missing trigger stats: %+v", list[0])
-	}
-	// The hour-long min interval means exactly one capture despite the
-	// trigger staying hot.
-	time.Sleep(50 * time.Millisecond)
-	if got := s.profiles.captures.Value(); got != 1 {
-		t.Errorf("rate limit ignored: %d captures", got)
-	}
-}
 
 // TestServicePprofLifecycle: Config.PprofAddr serves the pprof index
 // on a separate listener which drain shuts down.

@@ -105,11 +105,13 @@ type Config struct {
 	HistoryEvery   time.Duration
 	HistorySamples int
 	// IncidentMinInterval rate-limits automatic incident captures
-	// (default 5s); IncidentP99MS, when positive, adds a p99-breach
-	// trigger checked at each history tick against the request-latency
-	// histogram.
+	// (default 5s).
 	IncidentMinInterval time.Duration
-	IncidentP99MS       float64
+	// ProfileDir, when set, makes manual incident captures (POST
+	// /debug/incidents/capture) profile the service: each bundle's
+	// CPU and heap profiles are written under it and removed when the
+	// incident leaves the ring. Requires Telemetry.
+	ProfileDir string
 	// SimConfig overrides the simulation configuration (nil = default).
 	SimConfig *sim.Config
 	// Breaker parameterizes the per-arm circuit breakers.
@@ -133,9 +135,6 @@ type Config struct {
 	// a separate listener (e.g. "127.0.0.1:0"); the server is shut down
 	// on drain.
 	PprofAddr string
-	// Profile configures the capture manager (see ProfileConfig); the
-	// zero value disables it.
-	Profile ProfileConfig
 	// Logger receives the operational log lines and the structured
 	// request logs carrying the correlation IDs (admission seq, span ID)
 	// that also appear in the span trace. Nil discards them.
@@ -251,18 +250,12 @@ type Service struct {
 
 	queue    *resilience.Queue[*task]
 	breakers map[string]*resilience.Breaker
-	// budget backs the service_retry_budget gauge, part of the pinned
-	// /metrics family set. Nothing spends it since the service-counter
-	// checkpoint writer, its only consumer, was removed.
-	budget *resilience.Budget
 
 	ln  net.Listener
 	srv *http.Server
 
 	pprofAddr string       // bound pprof listen address (empty when off)
 	pprofSrv  *http.Server // shut down on drain
-
-	profiles *captureManager // nil when ProfileConfig is disabled
 
 	// recorder is non-nil iff telemetry is enabled: the incident flight
 	// recorder behind /debug/incidents (the history ring it embeds
@@ -277,7 +270,7 @@ type Service struct {
 	commits committer
 
 	workers  sync.WaitGroup // worker goroutines
-	loops    sync.WaitGroup // watchdog, history and profile loops
+	loops    sync.WaitGroup // watchdog and history loops
 	httpDone chan struct{}  // closed when the http server goroutine exits
 	stopCh   chan struct{}  // closed on drain to stop the background loops
 
@@ -303,8 +296,8 @@ type Service struct {
 	mResumes, mResumeFallbacks     *telemetry.Counter
 	mTrips                         map[string]*telemetry.Counter
 	mQueueDepth, mReady            *telemetry.Gauge
-	// hLatency tracks end-to-end request latency in milliseconds; the
-	// capture manager's p99 auto-trigger reads it.
+	// hLatency tracks end-to-end request latency in milliseconds (nil,
+	// and so inert, with telemetry off).
 	hLatency *telemetry.Histogram
 }
 
@@ -346,6 +339,9 @@ type Stats struct {
 // makes it listen and admit.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
+	if cfg.ProfileDir != "" && cfg.Telemetry == nil {
+		return nil, fmt.Errorf("service: ProfileDir requires Telemetry (profiles ride in incident bundles)")
+	}
 	simCfg := sim.DefaultConfig()
 	if cfg.SimConfig != nil {
 		simCfg = *cfg.SimConfig
@@ -359,7 +355,6 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		breakers: make(map[string]*resilience.Breaker),
-		budget:   &resilience.Budget{Capacity: 10, Ratio: 0.1},
 		httpDone: make(chan struct{}),
 		stopCh:   make(chan struct{}),
 		drained:  make(chan struct{}),
@@ -384,33 +379,16 @@ func New(cfg Config) (*Service, error) {
 		mTrips:           make(map[string]*telemetry.Counter),
 		mQueueDepth:      reg.Gauge("service.queue.depth"),
 		mReady:           reg.Gauge("service.ready"),
-		// The latency histogram is exposed only with telemetry on; the
-		// capture manager's p99 trigger reads it either way.
-		hLatency: cfg.Telemetry.Registry().Histogram("service.request.latency.ms"),
-	}
-	if s.hLatency == nil {
-		s.hLatency = &telemetry.Histogram{}
+		hLatency:         cfg.Telemetry.Registry().Histogram("service.request.latency.ms"),
 	}
 	s.runner = sim.NewRunner(simCfg, sim.WithTelemetry(cfg.Telemetry))
-	if cfg.Profile.enabled() {
-		s.profiles = newCaptureManager(cfg.Profile, cfg.Logger, reg.Counter("service.profile.captures"))
-	}
 	var history *telemetry.History
 	if cfg.Telemetry != nil {
 		history = telemetry.NewHistory(cfg.HistorySamples)
 		s.recorder = telemetry.NewFlightRecorder(telemetry.RecorderConfig{
 			Process:     "resembled",
 			MinInterval: cfg.IncidentMinInterval,
-			// Incident bundles ride alongside the profile captures:
-			// attach the retained capture manifests so the bundle points
-			// at the pprof data taken around the same window.
-			Decorate: func(inc *telemetry.Incident) {
-				if s.profiles != nil {
-					if list := s.profiles.List(); len(list) > 0 {
-						inc.Captures = list
-					}
-				}
-			},
+			ProfileDir:  cfg.ProfileDir,
 		}, cfg.Telemetry, history)
 	}
 	s.ops = &ops.Surface[telemetry.Incident]{
@@ -510,7 +488,6 @@ func (s *Service) metricsSnapshot() telemetry.RegistrySnapshot {
 	snap := s.reg.Snapshot()
 	snap.Gauges["service.queue.capacity"] = float64(s.queue.Capacity())
 	snap.Gauges["service.state"] = float64(s.state.Load())
-	snap.Gauges["service.retry.budget"] = s.budget.Tokens()
 	// Per-phase allocation attribution (empty unless the collector runs
 	// with Config.AllocAttribution): one counter triple per phase,
 	// folded into labeled families by the /metrics relabel rules.
@@ -589,15 +566,11 @@ func (s *Service) Start() error {
 		s.loops.Add(1)
 		go func() {
 			defer s.loops.Done()
-			s.ops.RecordHistory(s.stopCh, s.checkP99)
+			s.ops.RecordHistory(s.stopCh)
 		}()
 	}
 	s.loops.Add(1)
 	go s.watchdog()
-	if s.profiles != nil && s.profiles.cfg.autoEnabled() {
-		s.loops.Add(1)
-		go s.profileLoop()
-	}
 	s.cfg.Logger.Info("service: ready", "addr", s.Addr(), "workers", s.cfg.Workers, "queue", s.cfg.QueueDepth)
 	return nil
 }
@@ -683,14 +656,3 @@ func (s *Service) Close() error {
 
 // Drained reports whether the service has fully stopped.
 func (s *Service) Drained() <-chan struct{} { return s.drained }
-
-// checkP99 is the history tick's optional p99-breach incident trigger,
-// checked against the request-latency histogram.
-func (s *Service) checkP99() {
-	if lim := s.cfg.IncidentP99MS; lim > 0 {
-		if p99 := s.hLatency.Snapshot().Summary.P99; p99 > lim {
-			s.recorder.Trigger("p99.breach",
-				fmt.Sprintf("service.request.latency.ms p99 %.1f > %.1f", p99, lim))
-		}
-	}
-}

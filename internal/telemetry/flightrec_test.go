@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -75,17 +76,12 @@ func TestFlightRecorderSnapshotCarriesSpansAndHistory(t *testing.T) {
 	r.SetProcess("svc 1.2.3.4:5")
 	col.StartSpan("t", "op").End()
 
-	decorated := false
-	r.cfg.Decorate = func(inc *Incident) {
-		decorated = true
-		inc.Captures = []string{"prof-1"}
-	}
 	inc := r.Trigger("failover", "b → c")
 	if inc == nil {
 		t.Fatal("trigger suppressed")
 	}
-	if !decorated || inc.Captures == nil {
-		t.Fatal("decorate hook not applied")
+	if inc.Profile != nil {
+		t.Fatalf("incident carries a profile without a ProfileDir: %+v", inc.Profile)
 	}
 	if inc.Process != "svc 1.2.3.4:5" {
 		t.Fatalf("incident process %q", inc.Process)
@@ -110,7 +106,8 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewFlightRecorder(RecorderConfig{EventCap: 64, IncidentCap: 4, MinInterval: time.Nanosecond}, col, NewHistory(16))
+	dir := t.TempDir()
+	r := NewFlightRecorder(RecorderConfig{EventCap: 64, IncidentCap: 4, MinInterval: time.Nanosecond, ProfileDir: dir}, col, NewHistory(16))
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -127,7 +124,11 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 				case 3:
 					r.Incidents()
 				default:
-					r.Capture("manual", "z")
+					if i%50 == 4 {
+						r.CaptureProfiled("manual", "p", 0)
+					} else {
+						r.Capture("manual", "z")
+					}
 				}
 			}
 		}(g)
@@ -135,6 +136,33 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 	wg.Wait()
 	if len(r.Incidents()) == 0 {
 		t.Fatal("no incidents retained after concurrent captures")
+	}
+
+	// Quiesced, one more profiled capture prunes every evicted
+	// directory: what is on disk is exactly the retained evidence, and
+	// the ring is in seq order.
+	r.CaptureProfiled("manual", "last", 0)
+	want := map[string]bool{}
+	incs := r.Incidents()
+	for i, inc := range incs {
+		if i > 0 && inc.Seq <= incs[i-1].Seq {
+			t.Fatalf("incidents out of seq order: %d after %d", inc.Seq, incs[i-1].Seq)
+		}
+		if inc.Profile != nil {
+			want[inc.Profile.Dir] = true
+		}
+	}
+	got, err := filepath.Glob(filepath.Join(dir, "incident-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("profile dirs on disk %v, want the retained %v", got, want)
+	}
+	for _, d := range got {
+		if !want[d] {
+			t.Fatalf("profile dir %s on disk but its incident was evicted", d)
+		}
 	}
 }
 

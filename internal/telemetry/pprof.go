@@ -52,27 +52,30 @@ func StartProfilesTo(cpu io.Writer, openHeap func() (io.WriteCloser, error)) (fu
 		if openHeap == nil {
 			return nil
 		}
-		heap, herr := openHeap()
-		if herr != nil {
-			return herr
-		}
-		// WriteHeapProfile swallows sink write errors (the profile
-		// builder flushes without checking), which would leave a
-		// silently truncated heap.pprof — record them ourselves.
-		ew := &errorRecordingWriter{w: heap}
-		var err error
-		runtime.GC()
-		if werr := rpprof.WriteHeapProfile(ew); werr != nil {
-			err = werr
-		}
-		if err == nil {
-			err = ew.err
-		}
-		if cerr := heap.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-		return err
+		return writeHeapProfile(openHeap)
 	}, nil
+}
+
+// writeHeapProfile writes a post-GC heap profile through the writer
+// openHeap returns and closes it.
+func writeHeapProfile(openHeap func() (io.WriteCloser, error)) error {
+	heap, err := openHeap()
+	if err != nil {
+		return err
+	}
+	// WriteHeapProfile swallows sink write errors (the profile builder
+	// flushes without checking), which would leave a silently truncated
+	// heap.pprof — record them ourselves.
+	ew := &errorRecordingWriter{w: heap}
+	runtime.GC()
+	err = rpprof.WriteHeapProfile(ew)
+	if err == nil {
+		err = ew.err
+	}
+	if cerr := heap.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // errorRecordingWriter remembers the first write error, for sinks
