@@ -31,7 +31,10 @@
 // Fault tolerance: -checkpoint FILE snapshots the whole run (simulator,
 // controller, RNG, telemetry) every -checkpoint-every records and on
 // SIGINT/SIGTERM; -resume continues from the snapshot and produces
-// byte-identical results to an uninterrupted run:
+// byte-identical results to an uninterrupted run. Each snapshot lands
+// atomically; a failed periodic write warns and the run goes on (the
+// previous file survives), while a failed final write on a signal
+// exits non-zero with the write error:
 //
 //	resemble -workload 471.omnetpp -checkpoint run.ckpt
 //	^C
@@ -56,6 +59,7 @@ import (
 	"sync/atomic"
 	"syscall"
 
+	"resemble/internal/cas"
 	"resemble/internal/core"
 	"resemble/internal/ensemble/sbp"
 	"resemble/internal/experiments"
@@ -343,25 +347,9 @@ func run() (err error) {
 				fmt.Fprintln(os.Stderr, "signal received; writing checkpoint...")
 				interrupted.Store(true)
 			}()
-			opts := []sim.Option{
-				sim.WithCheckpoint(*ckpPath, *ckpEvery),
-				sim.WithInterrupt(&interrupted),
-			}
-			if *resume {
-				opts = append(opts, sim.WithResume())
-			}
-			r, err = runner.With(opts...).Run(tr, src)
-			if errors.Is(err, sim.ErrInterrupted) {
-				fmt.Fprintf(os.Stderr, "checkpoint written to %s; rerun with -resume to continue\n", *ckpPath)
-				return err
-			}
+			r, err = runCheckpointed(runner.With(sim.WithInterrupt(&interrupted)), tr, src, *ckpPath, *ckpEvery, *resume, os.Stderr)
 			if err != nil {
 				return err
-			}
-			// The run completed: the periodic checkpoint is stale now, and
-			// a later -resume from it would replay the tail of the trace.
-			if rmErr := os.Remove(*ckpPath); rmErr != nil && !errors.Is(rmErr, os.ErrNotExist) {
-				return rmErr
 			}
 		} else if r, err = runner.Run(tr, src); err != nil {
 			return err
@@ -437,6 +425,65 @@ func (p *prefSink) Close() error {
 		err = cerr
 	}
 	return err
+}
+
+// checkpointFile is the -checkpoint sink: it lands each checkpoint
+// container at path with the store's atomic writer, so the file on
+// disk is always the last checkpoint that fully landed. A failed write
+// costs durability, not the run: it warns, the previous file survives
+// and the next boundary tries again. err is the outcome of the latest
+// write — after an interrupt, that of the interrupt's checkpoint — and
+// landed reports whether any write succeeded.
+type checkpointFile struct {
+	path   string
+	warn   io.Writer
+	err    error
+	landed bool
+}
+
+func (c *checkpointFile) write(blob []byte, cursor int) error {
+	c.err = cas.WriteFileAtomic(c.path, blob)
+	if c.err != nil {
+		fmt.Fprintf(c.warn, "warning: checkpoint at record %d not written (previous checkpoint kept): %v\n", cursor, c.err)
+	} else {
+		c.landed = true
+	}
+	return nil
+}
+
+// runCheckpointed runs src under a checkpoint file at path, written
+// every `every` records and when runner's interrupt source fires;
+// with resume it first continues from the file's bytes. An interrupted
+// run returns sim.ErrInterrupted once its final checkpoint is on disk,
+// or that write's error if it did not land. A completed run removes
+// the file it resumed from or wrote: resuming from it would replay the
+// tail of the trace.
+func runCheckpointed(runner *sim.Runner, tr *trace.Trace, src sim.Source, path string, every int, resume bool, stderr io.Writer) (sim.Result, error) {
+	ckp := &checkpointFile{path: path, warn: stderr}
+	opts := []sim.Option{sim.WithCheckpointSink(every, ckp.write)}
+	if resume {
+		blob, err := os.ReadFile(path)
+		if err != nil {
+			return sim.Result{}, fmt.Errorf("resume: %w", err)
+		}
+		opts = append(opts, sim.WithResumeBlob(blob))
+	}
+	r, err := runner.With(opts...).Run(tr, src)
+	switch {
+	case errors.Is(err, sim.ErrInterrupted) && ckp.err != nil:
+		return r, fmt.Errorf("%w; final checkpoint not written: %w", err, ckp.err)
+	case errors.Is(err, sim.ErrInterrupted):
+		fmt.Fprintf(stderr, "checkpoint written to %s; rerun with -resume to continue\n", path)
+		return r, err
+	case err != nil:
+		return r, err
+	}
+	if resume || ckp.landed {
+		if err := os.Remove(path); err != nil {
+			return r, err
+		}
+	}
+	return r, nil
 }
 
 // modelSource is implemented by the RL controllers.

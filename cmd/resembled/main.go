@@ -40,7 +40,6 @@ import (
 	"resemble/internal/cas"
 	"resemble/internal/service"
 	"resemble/internal/telemetry"
-	"resemble/internal/trace"
 )
 
 func main() {
@@ -50,7 +49,7 @@ func main() {
 		queue      = flag.Int("queue", 32, "admission queue depth")
 		timeout    = flag.Duration("timeout", 60*time.Second, "per-request deadline")
 		drainT     = flag.Duration("drain-timeout", 30*time.Second, "graceful drain bound")
-		storeDir   = flag.String("store-dir", "", "durable artifact store root (empty = off): runs checkpoint into it, /v1/run accepts resume_from, and the trace cache gains a content-addressed disk tier; safe to share with other resembled/resemblefront processes on a local filesystem")
+		storeDir   = flag.String("store-dir", "", "durable artifact store root (empty = off): runs checkpoint into it and /v1/run accepts resume_from; traces are not stored (they regenerate as fast as they read back); safe to share with other resembled/resemblefront processes on a local filesystem")
 		runCkp     = flag.Int("run-checkpoint-every", 0, "accesses between per-run store checkpoints when -store-dir is set (0 = engine default)")
 		accesses   = flag.Int("accesses", 20000, "default trace length per request")
 		telDir     = flag.String("telemetry", "", "telemetry output directory (empty = off)")
@@ -107,9 +106,6 @@ func main() {
 			logger.Warn("resembled: store recovery sweep repaired", "report", rep.String())
 		}
 		store = st
-		// Give trace synthesis a durable second tier: one generation of
-		// each (workload, length, seed) per machine, not per process.
-		trace.Shared().AttachStore(store)
 	}
 
 	s, err := service.New(service.Config{

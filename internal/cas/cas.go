@@ -1,15 +1,17 @@
 // Package cas implements a durable content-addressed artifact store:
 // blobs identified by the SHA-256 of their content, written atomically
-// (temp + rename, the checkpoint.WriteFileRetry idiom), verified
+// (WriteFileAtomic: temp + fsync + rename + directory fsync), verified
 // against their full hash on every read, reference-counted for GC and
 // addressable through named tags.
 //
-// The store holds the three artifact kinds the fleet shares between
-// instances — generated traces, checkpoint containers and serialized
-// DQN/tabular models — so identical workloads generate once per
-// machine, a run interrupted on one backend resumes on another from
-// its last durable checkpoint, and trained state warm-starts new
-// instances.
+// The store holds only state that cannot be recomputed cheaply: run
+// checkpoint containers, so a run interrupted on one backend resumes
+// on another from its last durable checkpoint (KindModel is reserved
+// for serialized DQN/tabular models). Generated traces are not stored:
+// regenerating one is about as fast as reading it back, and the
+// in-memory trace cache already serves repeats within a process.
+// KindTrace stays a valid kind so older stores that hold trace blobs
+// still open clean.
 //
 // Layout under the store root:
 //
@@ -382,7 +384,7 @@ func (s *Store) PutTagged(kind Kind, data []byte, tags ...string) (ID, error) {
 		s.stats.PutDedups++
 	} else {
 		path := s.blobPath(kind, id)
-		if err := writeFileAtomic(path, data); err != nil {
+		if err := WriteFileAtomic(path, data); err != nil {
 			return ID{}, err
 		}
 		s.blob[id] = &entry{kind: kind, size: int64(len(data))}
@@ -717,13 +719,16 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// writeFileAtomic lands data under path with the temp + sync + rename
-// idiom shared with checkpoint.WriteFileVia, then syncs the parent
-// directory so the rename itself survives host power loss: a crash at
-// any point leaves either the previous state or a torn *.tmp* file
-// for the recovery sweep — never a half-written blob under the final
-// name.
-func writeFileAtomic(path string, data []byte) error {
+// WriteFileAtomic lands data under path (creating missing parent
+// directories): the bytes go to a temp file in the destination
+// directory, which is synced and renamed over path, and then the
+// parent directory is synced so the rename itself survives host power
+// loss. A crash or failure at any point leaves either the previous
+// file, byte for byte, or a torn *.tmp* file (the store's recovery
+// sweep quarantines those) — never a half-written file under the final
+// name. It is the one atomic file writer: store blobs, the store index
+// and the CLI's checkpoint file all land through it.
+func WriteFileAtomic(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("cas: %w", err)
@@ -779,7 +784,7 @@ func syncDir(dir string) error {
 // the store lock held.
 func (s *Store) persistIndex() error {
 	enc := encodeIndex(s.blob, s.tags)
-	if err := writeFileAtomic(filepath.Join(s.dir, "index"), enc); err != nil {
+	if err := WriteFileAtomic(filepath.Join(s.dir, "index"), enc); err != nil {
 		return err
 	}
 	s.lastIdx = enc

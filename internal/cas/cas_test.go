@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -316,6 +317,65 @@ func TestConcurrentPutGetTagGC(t *testing.T) {
 			if !ok || !s.Has(id) {
 				t.Fatalf("tagged blob w%d/i%d lost (ok=%v)", w, i, ok)
 			}
+		}
+	}
+}
+
+// TestWriteFileAtomic: an overwrite replaces the file whole and leaves
+// no temp file behind, and a write that fails leaves the previous file
+// byte-identical.
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	if err := WriteFileAtomic(path, []byte("first checkpoint")); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(path, []byte("second")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "second" {
+		t.Fatalf("after overwrite: %q, %v; want %q", got, err, "second")
+	}
+	assertNoTemps(t, dir)
+
+	t.Run("failed write keeps the previous file", func(t *testing.T) {
+		// A name that fits NAME_MAX while its temp sibling
+		// (<name>.tmp<digits>) does not: the temp file cannot be
+		// created, so the write fails before touching the destination.
+		dir := t.TempDir()
+		path := filepath.Join(dir, strings.Repeat("c", 250))
+		prev := []byte("the last good checkpoint")
+		if err := os.WriteFile(path, prev, 0o644); err != nil {
+			t.Skipf("filesystem rejects a 250-byte name: %v", err)
+		}
+		if err := WriteFileAtomic(path, []byte("replacement")); err == nil {
+			t.Fatal("write with an over-long temp name succeeded")
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, prev) {
+			t.Fatalf("previous file after a failed write: %q, %v; want %q", got, err, prev)
+		}
+		assertNoTemps(t, dir)
+	})
+	t.Run("parent directories are created", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "a", "b", "run.ckpt")
+		if err := WriteFileAtomic(path, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := os.ReadFile(path); err != nil || string(got) != "x" {
+			t.Fatalf("nested write: %q, %v", got, err)
+		}
+	})
+}
+
+func assertNoTemps(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Fatalf("temp file left behind: %s", e.Name())
 		}
 	}
 }

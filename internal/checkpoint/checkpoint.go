@@ -1,6 +1,6 @@
 // Package checkpoint implements fault-tolerant run snapshots: a
-// versioned, sectioned container file written atomically (temp +
-// rename) and sealed with a CRC32 footer, plus the Stater interface
+// versioned, sectioned container sealed with a CRC32 footer, plus the
+// Stater interface
 // every checkpointable component implements and a draw-counting RNG
 // source whose state is a (seed, draws) pair.
 //
@@ -8,8 +8,11 @@
 // (internal/sim): it gathers one named section per component — the
 // trace cursor, the simulator/cache state, the prefetch source
 // (controller plus input prefetchers) and the telemetry collector —
-// and writes them as one file. On resume the sections are handed back
-// to the same components, which restore themselves exactly; an
+// and serializes them as one container, which the run hands to its
+// checkpoint sink (the artifact store, or the CLI's checkpoint file —
+// both land bytes with cas.WriteFileAtomic). On resume the sections
+// are handed back to the same components, which restore themselves
+// exactly; an
 // interrupted-and-resumed run is byte-identical to an uninterrupted
 // one (see the determinism tests).
 //
@@ -35,7 +38,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 )
 
 // Version is the current checkpoint format version. Version 2 added
@@ -83,8 +85,8 @@ const (
 	maxSectionSize = 1 << 30
 )
 
-// Builder assembles a checkpoint in memory before writing it in one
-// atomic operation.
+// Builder assembles a checkpoint in memory before serializing it in
+// one WriteTo.
 type Builder struct {
 	names []string
 	data  [][]byte
@@ -163,15 +165,6 @@ func (b *Builder) WriteTo(w io.Writer) (int64, error) {
 	var foot [4]byte
 	binary.LittleEndian.PutUint32(foot[:], crc.Sum32())
 	return n, count(w.Write(foot[:]))
-}
-
-// WriteFile writes the checkpoint atomically: the bytes go to a
-// temporary file in the destination directory which is then renamed
-// over path, so a crash mid-write never leaves a half-written
-// checkpoint under the final name. For transient-failure tolerance use
-// WriteFileRetry.
-func (b *Builder) WriteFile(path string) error {
-	return b.WriteFileVia(path, nil)
 }
 
 // File is a parsed checkpoint.
@@ -265,20 +258,6 @@ func parseBody(body []byte) (*File, error) {
 		return nil, fmt.Errorf("checkpoint: %d trailing bytes after last section", len(body)-off)
 	}
 	return f, nil
-}
-
-// ReadFile opens and parses the checkpoint at path.
-func ReadFile(path string) (*File, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	defer f.Close()
-	ck, err := Read(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w (file %s)", err, path)
-	}
-	return ck, nil
 }
 
 // Version returns the parsed format version.

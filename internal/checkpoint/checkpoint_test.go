@@ -8,8 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -173,33 +171,6 @@ func TestBuilderRejectsDuplicatesAndSaveErrors(t *testing.T) {
 	err := b.Add("b", func(io.Writer) error { return wantErr })
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("save error not propagated: %v", err)
-	}
-}
-
-func TestWriteFileAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "run.ckpt")
-	if err := buildSample(t).WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	// Overwrite with new content; no temp files may remain.
-	if err := buildSample(t).WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		if strings.Contains(e.Name(), ".tmp") {
-			t.Fatalf("temp file left behind: %s", e.Name())
-		}
-	}
-	if _, err := ReadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadFile(filepath.Join(dir, "missing.ckpt")); err == nil {
-		t.Fatal("missing file must error")
 	}
 }
 

@@ -92,9 +92,6 @@ type Config struct {
 	// Telemetry set.
 	HistoryEvery   time.Duration
 	HistorySamples int
-	// IncidentMinInterval rate-limits automatic incident captures
-	// (default telemetry's 5s; manual captures always fire).
-	IncidentMinInterval time.Duration
 	// Logger receives the operational log lines and the structured
 	// request logs. Nil discards them.
 	Logger *slog.Logger
@@ -259,10 +256,7 @@ func New(cfg Config) (*Front, error) {
 		// adopted backend spans are stamped per backend at adoption.
 		cfg.Telemetry.SetProc("front")
 		history = telemetry.NewHistory(cfg.HistorySamples)
-		f.recorder = telemetry.NewFlightRecorder(telemetry.RecorderConfig{
-			Process:     "resemblefront",
-			MinInterval: cfg.IncidentMinInterval,
-		}, cfg.Telemetry, history)
+		f.recorder = telemetry.NewFlightRecorder(telemetry.RecorderConfig{Process: "resemblefront"}, cfg.Telemetry, history)
 	}
 	f.ops = &ops.Surface[FleetIncident]{
 		State:        func() string { return f.State().String() },

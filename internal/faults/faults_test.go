@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"resemble/internal/checkpoint"
 	"resemble/internal/mem"
 	"resemble/internal/prefetch"
 	"resemble/internal/trace"
@@ -286,5 +287,39 @@ func TestFailingWriter(t *testing.T) {
 	fwDefault := &FailingWriter{W: io.Discard}
 	if _, err := fwDefault.Write([]byte("x")); err == nil {
 		t.Fatal("FailAfter=0 must fail immediately")
+	}
+}
+
+// TestFailingWriterPartialWrites: a writer that dies mid-container
+// fails the checkpoint serialization and leaves a torn prefix that the
+// container reader rejects — the device fault the helper exists to
+// simulate — while an unwrapped write of the same builder round-trips.
+func TestFailingWriterPartialWrites(t *testing.T) {
+	b := checkpoint.NewBuilder()
+	if err := b.Add("payload", func(w io.Writer) error {
+		_, err := w.Write([]byte("some checkpoint section data"))
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var torn bytes.Buffer
+	if _, err := b.WriteTo(&FailingWriter{W: &torn, FailAfter: 2}); err == nil {
+		t.Fatal("serialization through a writer that dies mid-container succeeded")
+	}
+	if torn.Len() == 0 {
+		t.Fatal("FailAfter=2 let no bytes through")
+	}
+	if _, err := checkpoint.Read(bytes.NewReader(torn.Bytes())); err == nil {
+		t.Fatal("a torn container parsed")
+	}
+	var whole bytes.Buffer
+	if _, err := b.WriteTo(&whole); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(whole.Bytes(), torn.Bytes()) {
+		t.Fatal("the torn stream is not a prefix of the full container")
+	}
+	if _, err := checkpoint.Read(bytes.NewReader(whole.Bytes())); err != nil {
+		t.Fatalf("full container: %v", err)
 	}
 }

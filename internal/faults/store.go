@@ -102,7 +102,7 @@ func InjectStoreFault(dir string, arm StoreArm, kind cas.Kind, id cas.ID, seed i
 		return os.Truncate(path, fi.Size()/2)
 
 	case TornTempFile:
-		// Mirror writeFileAtomic's CreateTemp pattern: <base>.tmp<suffix>
+		// Mirror cas.WriteFileAtomic's CreateTemp pattern: <base>.tmp<suffix>
 		// in the destination directory.
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return fmt.Errorf("faults: %s: %w", arm, err)

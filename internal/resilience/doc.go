@@ -1,13 +1,12 @@
 // Package resilience provides the generic, stdlib-only self-protection
-// primitives the long-running service layer (internal/service) is built
-// from:
+// primitives the long-running service layer (internal/service) and the
+// cluster front door (internal/cluster) are built from:
 //
 //   - Backoff: exponential backoff schedules with full jitter, fed by
 //     an injectable rand.Source so delay sequences are deterministic
 //     under the checkpoint package's counting RNG;
-//   - Retry: bounded retry with backoff, context deadline propagation
-//     and an optional shared retry Budget (token bucket replenished by
-//     successes) that stops retry storms from amplifying an outage;
+//   - Budget: a shared retry token bucket replenished by successes,
+//     which stops failover storms from amplifying an outage;
 //   - Breaker: a three-state circuit breaker (closed → open →
 //     half-open) driven by explicit success/failure reports — the
 //     service keys one breaker per ensemble arm off the accuracy
@@ -19,6 +18,6 @@
 //
 // Nothing in this package knows about simulations, prefetchers or
 // telemetry: every type is a plain concurrency-safe building block
-// with injectable clocks, sleepers and RNGs, so the state machines are
+// with injectable clocks and RNGs, so the state machines are
 // testable without wall-clock time.
 package resilience

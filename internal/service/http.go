@@ -149,9 +149,9 @@ func (s *Service) handleRun(w http.ResponseWriter, r *http.Request) {
 	if req.Accesses == 0 {
 		req.Accesses = s.cfg.DefaultAccesses
 	}
-	if req.Accesses < 0 || req.Accesses > s.cfg.MaxAccesses {
+	if req.Accesses < 0 || req.Accesses > maxAccesses {
 		ops.WriteJSON(w, http.StatusBadRequest,
-			Response{Error: fmt.Sprintf("accesses %d out of range [1,%d]", req.Accesses, s.cfg.MaxAccesses)})
+			Response{Error: fmt.Sprintf("accesses %d out of range [1,%d]", req.Accesses, maxAccesses)})
 		return
 	}
 	if req.FixedFrac > 14 {

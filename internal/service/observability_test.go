@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"testing"
+	"time"
 
 	"resemble/internal/telemetry"
 )
@@ -172,34 +173,70 @@ func TestRequestSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := startService(t, func(c *Config) { c.Telemetry = tel })
-	if status, out := post(t, s, Request{Workload: "433.milc", Controller: "none"}); status != http.StatusOK {
-		t.Fatalf("run: status %d (%s)", status, out.Error)
+	// The spans must be in the collector by the time the response
+	// arrives — on the plain path too, not only under return_spans —
+	// so every short request reads the collector straight away.
+	for i := 1; i <= 50; i++ {
+		if status, out := post(t, s, Request{Workload: "433.milc", Controller: "none", Accesses: 500}); status != http.StatusOK {
+			t.Fatalf("run %d: status %d (%s)", i, status, out.Error)
+		}
+		checkRequestTrees(t, tel.Spans(), i)
 	}
+}
 
-	spans := tel.Spans()
+// checkRequestTrees asserts that spans hold n complete request trees:
+// n spans of each service-level name, no dangling parent, and every
+// sim.run hanging off a request span across the collector hop.
+func checkRequestTrees(t *testing.T, spans []telemetry.SpanRecord, n int) {
+	t.Helper()
 	names := map[string]int{}
 	ids := map[telemetry.SpanID]bool{}
-	var reqID telemetry.SpanID
+	reqIDs := map[telemetry.SpanID]bool{}
 	for _, sp := range spans {
 		names[sp.Name]++
 		ids[sp.ID] = true
 		if sp.Name == "request" {
-			reqID = sp.ID
+			reqIDs[sp.ID] = true
 		}
 	}
 	for _, want := range []string{"request", "admission", "worker.serve", "sim.run"} {
-		if names[want] == 0 {
-			t.Errorf("span %q missing from request trace (got %v)", want, names)
+		if names[want] != n {
+			t.Fatalf("after %d requests: %d %q spans recorded, want %d (got %v)", n, names[want], want, n, names)
 		}
 	}
 	for _, sp := range spans {
 		if sp.Parent != 0 && !ids[sp.Parent] {
-			t.Errorf("span %s has dangling parent %016x", sp.Name, uint64(sp.Parent))
+			t.Fatalf("after %d requests: span %s has dangling parent %016x", n, sp.Name, uint64(sp.Parent))
 		}
-		// The cross-collector hop: the worker's sim.run must hang off
-		// the request span recorded at admission.
-		if sp.Name == "sim.run" && sp.Parent != reqID {
-			t.Errorf("sim.run parent = %016x, want request span %016x", uint64(sp.Parent), uint64(reqID))
+		if sp.Name == "sim.run" && !reqIDs[sp.Parent] {
+			t.Fatalf("sim.run parent %016x is not a request span", uint64(sp.Parent))
+		}
+	}
+}
+
+// TestRequestSpansOnTimeout: a 504 answer also ships only after the
+// request and worker.serve spans are recorded.
+func TestRequestSpansOnTimeout(t *testing.T) {
+	tel, err := telemetry.New(telemetry.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := startService(t, func(c *Config) {
+		c.Telemetry = tel
+		c.Chaos = &Chaos{SlowHandler: 400 * time.Millisecond}
+		c.Workers = 1
+		c.RequestTimeout = 50 * time.Millisecond
+	})
+	if status, out := post(t, s, Request{Workload: "433.milc", Controller: "bo", Accesses: 20000}); status != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d (%s), want 504", status, out.Error)
+	}
+	names := map[string]int{}
+	for _, sp := range tel.Spans() {
+		names[sp.Name]++
+	}
+	for _, want := range []string{"request", "admission", "worker.serve"} {
+		if names[want] != 1 {
+			t.Errorf("%q spans recorded when the 504 arrived = %d, want 1 (got %v)", want, names[want], names)
 		}
 	}
 }

@@ -57,6 +57,10 @@ import (
 	"resemble/internal/trace"
 )
 
+// maxAccesses caps a request's trace length: /v1/run answers a larger
+// accesses value with 400.
+const maxAccesses = 500000
+
 // Config parameterizes a Service. The zero value listens on an
 // ephemeral localhost port with sensible defaults.
 type Config struct {
@@ -74,16 +78,14 @@ type Config struct {
 	// DrainTimeout bounds the graceful drain (default 30s).
 	DrainTimeout time.Duration
 	// DefaultAccesses is the trace length when a request omits it
-	// (default 20000); MaxAccesses is the admission cap (default 500k).
+	// (default 20000); requests above maxAccesses are rejected.
 	DefaultAccesses int
-	MaxAccesses     int
 
 	// Store, when non-nil, is the durable artifact store: every run
 	// periodically checkpoints into it (keyed by the run-request hash
 	// and access cursor, see RunKey/CheckpointTag) and /v1/run accepts
-	// resume_from to warm-start from a stored checkpoint. The store is
-	// shared infrastructure — attaching it to the trace cache
-	// (trace.Cache.AttachStore) is the owner's call, not the service's.
+	// resume_from to warm-start from a stored checkpoint. Only run
+	// checkpoints go into it; traces are regenerated, never stored.
 	Store *cas.Store
 	// RunCheckpointEvery is the access-count period between run
 	// checkpoints (default 5000 when Store is set). A run interrupted
@@ -104,22 +106,13 @@ type Config struct {
 	// in incident bundles.
 	HistoryEvery   time.Duration
 	HistorySamples int
-	// IncidentMinInterval rate-limits automatic incident captures
-	// (default 5s).
-	IncidentMinInterval time.Duration
 	// ProfileDir, when set, makes manual incident captures (POST
 	// /debug/incidents/capture) profile the service: each bundle's
 	// CPU and heap profiles are written under it and removed when the
 	// incident leaves the ring. Requires Telemetry.
 	ProfileDir string
-	// SimConfig overrides the simulation configuration (nil = default).
-	SimConfig *sim.Config
 	// Breaker parameterizes the per-arm circuit breakers.
 	Breaker resilience.BreakerConfig
-	// DisableMasking turns off the controllers' accuracy masking (and
-	// with it the breaker feedback signal). Masking is on by default:
-	// it is the degradation signal the breakers key off.
-	DisableMasking bool
 	// ControllerConfig, when non-nil, overrides the ensemble controller
 	// configuration derived for a request (the default is the batch
 	// experiment configuration plus the robustness fault-matrix masking
@@ -159,9 +152,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultAccesses <= 0 {
 		c.DefaultAccesses = 20000
-	}
-	if c.MaxAccesses <= 0 {
-		c.MaxAccesses = 500000
 	}
 	if c.HistoryEvery <= 0 {
 		c.HistoryEvery = telemetry.DefaultHistoryEvery
@@ -342,10 +332,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.ProfileDir != "" && cfg.Telemetry == nil {
 		return nil, fmt.Errorf("service: ProfileDir requires Telemetry (profiles ride in incident bundles)")
 	}
-	simCfg := sim.DefaultConfig()
-	if cfg.SimConfig != nil {
-		simCfg = *cfg.SimConfig
-	}
 	reg := cfg.Telemetry.Registry()
 	if reg == nil {
 		// No collector: the simulator stays uninstrumented, but the
@@ -381,14 +367,13 @@ func New(cfg Config) (*Service, error) {
 		mReady:           reg.Gauge("service.ready"),
 		hLatency:         cfg.Telemetry.Registry().Histogram("service.request.latency.ms"),
 	}
-	s.runner = sim.NewRunner(simCfg, sim.WithTelemetry(cfg.Telemetry))
+	s.runner = sim.NewRunner(sim.DefaultConfig(), sim.WithTelemetry(cfg.Telemetry))
 	var history *telemetry.History
 	if cfg.Telemetry != nil {
 		history = telemetry.NewHistory(cfg.HistorySamples)
 		s.recorder = telemetry.NewFlightRecorder(telemetry.RecorderConfig{
-			Process:     "resembled",
-			MinInterval: cfg.IncidentMinInterval,
-			ProfileDir:  cfg.ProfileDir,
+			Process:    "resembled",
+			ProfileDir: cfg.ProfileDir,
 		}, cfg.Telemetry, history)
 	}
 	s.ops = &ops.Surface[telemetry.Incident]{

@@ -29,14 +29,22 @@ type task struct {
 	// admitSpan is retained so its finished record can ship in the
 	// response when the request asks for spans.
 	admitSpan *telemetry.Span
+	// serveSpan is the worker.serve span, open while a worker runs the
+	// task.
+	serveSpan *telemetry.Span
 
 	done   chan struct{} // closed when resp/status are final
 	resp   Response
 	status int
 }
 
-// finish seals the task's outcome; first caller wins.
+// finish seals the task's outcome; first caller wins. The task's spans
+// end before the response is released, so a client that reads the
+// collector right after its response sees the whole request tree on
+// every path (End is idempotent).
 func (t *task) finish(status int, resp Response) {
+	t.serveSpan.End()
+	t.span.End()
 	t.resp = resp
 	t.status = status
 	close(t.done)
@@ -162,10 +170,8 @@ func (s *Service) watchdog() {
 // and then re-raised so the supervision layer restarts the worker.
 func (s *Service) serve(i int, t *task) {
 	began := time.Now()
-	wsp := t.span.Child("worker.serve")
+	t.serveSpan = t.span.Child("worker.serve")
 	defer func() {
-		wsp.End()
-		t.span.End()
 		s.hLatency.Observe(float64(time.Since(began)) / float64(time.Millisecond))
 		s.cfg.Logger.Info("request served",
 			"seq", t.seq,
@@ -206,14 +212,13 @@ func (s *Service) serve(i int, t *task) {
 	case err == nil:
 		s.mCompleted.Inc()
 		if t.req.ReturnSpans {
-			// Seal the service-level spans before the response ships so
+			// Seal the service-level spans before their records ship so
 			// the coordinator's stitched trace carries the whole
 			// request → admission → worker.serve tree, not just the
-			// run's spans. End is idempotent; the deferred Ends above
-			// become no-ops.
-			wsp.End()
+			// run's spans. finish's Ends become no-ops.
+			t.serveSpan.End()
 			t.span.End()
-			resp.Spans = appendSpanRecords(resp.Spans, t.admitSpan, wsp, t.span)
+			resp.Spans = appendSpanRecords(resp.Spans, t.admitSpan, t.serveSpan, t.span)
 		}
 		t.finish(status, resp)
 	case errors.Is(err, sim.ErrInterrupted) || errors.Is(err, context.DeadlineExceeded):
@@ -540,13 +545,11 @@ func (s *Service) controllerConfig(req Request) core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Seed = 1 + req.Seed
 	cfg.FixedFrac = req.FixedFrac
-	if !s.cfg.DisableMasking {
-		cfg.MaskFloor = 0.2
-		cfg.MaskWindow = 1024
-		cfg.MaskBadWindows = 2
-		cfg.MaskMinSamples = 16
-		cfg.MaskReprobe = 16 * 1024
-	}
+	cfg.MaskFloor = 0.2
+	cfg.MaskWindow = 1024
+	cfg.MaskBadWindows = 2
+	cfg.MaskMinSamples = 16
+	cfg.MaskReprobe = 16 * 1024
 	return cfg
 }
 

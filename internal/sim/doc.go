@@ -28,11 +28,15 @@
 //
 //	r := sim.NewRunner(cfg,
 //		sim.WithTelemetry(tel),
-//		sim.WithCheckpoint("run.ckpt", 10_000),
+//		sim.WithCheckpointSink(10_000, save), // save(blob, cursor) persists the bytes
 //		sim.WithFaults(plan),
 //	)
 //	base, _ := r.With(sim.WithBaseline()).Run(tr, nil)
 //	res, err := r.Run(tr, controller)
+//
+// A checkpoint is container bytes handed to the sink; resuming takes
+// bytes back (WithResumeBlob). Where the bytes live — the artifact
+// store, a file — is the caller's choice.
 //
 // A Runner is immutable and safe for concurrent use: each Run builds a
 // fresh Simulator, so parallel harnesses share one Runner prototype

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"bytes"
-	"context"
 	"encoding/gob"
 	"errors"
 	"fmt"
@@ -15,8 +14,8 @@ import (
 
 // ErrInterrupted is returned by Runner.Run when the run stopped on an
 // interrupt request before reaching the end of the trace. If a
-// checkpoint path or sink was configured, a checkpoint covering the
-// stop point was written before returning.
+// checkpoint sink was configured, a checkpoint covering the stop point
+// was handed to it before returning.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 // ErrBadResume wraps every failure to resume from a WithResumeBlob
@@ -29,7 +28,7 @@ var ErrBadResume = errors.New("sim: resume snapshot unusable")
 // CanCheckpoint reports whether src can take part in run
 // checkpointing: it implements checkpoint.Stater (or there is no
 // source at all — the baseline run checkpoints fine). Attaching a
-// checkpoint file or sink to a run whose source cannot snapshot fails
+// checkpoint sink to a run whose source cannot snapshot fails
 // at the first checkpoint boundary; callers offering best-effort
 // durability probe first and skip checkpointing instead.
 func CanCheckpoint(src Source) bool {
@@ -54,10 +53,10 @@ type ckpMeta struct {
 // simulate drives the record loop from start: warmup-boundary reset,
 // per-record stepping, and — when the settings ask for them —
 // checkpoint boundaries and interrupt polling. The common case (no
-// checkpointing, no interrupt source) takes a branch-free fast loop.
+// checkpoint sink, no interrupt source) takes a branch-free fast loop.
 func (s *Simulator) simulate(tr *trace.Trace, src Source, name string, start int, set settings) error {
 	warmupEnd := int(float64(len(tr.Records)) * s.cfg.WarmupFraction)
-	if set.ckpPath == "" && set.ckpSink == nil && set.interrupt == nil && set.stopAfter <= 0 {
+	if set.ckpSink == nil && set.interrupt == nil && set.stopAfter <= 0 {
 		for i := start; i < len(tr.Records); i++ {
 			rec := tr.Records[i]
 			if i == warmupEnd {
@@ -81,13 +80,9 @@ func (s *Simulator) simulate(tr *trace.Trace, src Source, name string, start int
 		}
 		interrupted := (set.interrupt != nil && set.interrupt.Load()) ||
 			(set.stopAfter > 0 && processed >= set.stopAfter)
-		needFile := set.ckpPath != "" &&
-			(interrupted || (set.ckpEvery > 0 && cursor%set.ckpEvery == 0))
-		needSink := set.ckpSink != nil &&
-			(interrupted || (set.sinkEvery > 0 && cursor%set.sinkEvery == 0))
-		if needFile || needSink {
+		if set.ckpSink != nil && (interrupted || (set.ckpEvery > 0 && cursor%set.ckpEvery == 0)) {
 			csp := set.tel.RunSpanChild("checkpoint.write")
-			err := s.emitCheckpoint(tr, src, name, set, cursor, needFile, needSink)
+			err := s.emitCheckpoint(tr, src, name, set, cursor)
 			csp.End()
 			if err != nil {
 				return err
@@ -100,31 +95,19 @@ func (s *Simulator) simulate(tr *trace.Trace, src Source, name string, start int
 	return nil
 }
 
-// emitCheckpoint builds the snapshot once and lands it on the
-// configured targets: the checkpoint file (atomic, retried) and/or the
-// checkpoint sink (serialized container bytes).
-func (s *Simulator) emitCheckpoint(tr *trace.Trace, src Source, name string, set settings, cursor int, toFile, toSink bool) error {
+// emitCheckpoint builds the snapshot, serializes it once and hands the
+// container bytes to the checkpoint sink.
+func (s *Simulator) emitCheckpoint(tr *trace.Trace, src Source, name string, set settings, cursor int) error {
 	b, err := s.buildCheckpoint(tr, src, name, set.tel, cursor, set.ckpScope)
 	if err != nil {
 		return err
 	}
-	if toFile {
-		// Transient write failures (a full disk racing a cleanup, flaky
-		// network filesystems) are retried with backoff; each attempt is
-		// atomic, so the previous good checkpoint survives until a write
-		// fully lands.
-		if err := b.WriteFileRetry(context.Background(), set.ckpPath, checkpoint.DefaultWriteRetry(), nil); err != nil {
-			return err
-		}
+	var buf bytes.Buffer
+	if _, err := b.WriteTo(&buf); err != nil {
+		return err
 	}
-	if toSink {
-		var buf bytes.Buffer
-		if _, err := b.WriteTo(&buf); err != nil {
-			return err
-		}
-		if err := set.ckpSink(buf.Bytes(), cursor); err != nil {
-			return fmt.Errorf("sim: checkpoint sink at record %d: %w", cursor, err)
-		}
+	if err := set.ckpSink(buf.Bytes(), cursor); err != nil {
+		return fmt.Errorf("sim: checkpoint sink at record %d: %w", cursor, err)
 	}
 	return nil
 }
@@ -156,17 +139,6 @@ func (s *Simulator) buildCheckpoint(tr *trace.Trace, src Source, name string, te
 		}
 	}
 	return b, nil
-}
-
-// loadCheckpoint restores the run state from path, validating that the
-// snapshot belongs to this (trace, source, scope) tuple, and returns
-// the resume cursor.
-func (s *Simulator) loadCheckpoint(path string, tr *trace.Trace, src Source, name string, tel *telemetry.Collector, scope string) (int, error) {
-	f, err := checkpoint.ReadFile(path)
-	if err != nil {
-		return 0, err
-	}
-	return s.restoreCheckpoint(f, tr, src, name, tel, scope)
 }
 
 // loadCheckpointBlob restores the run state from serialized container

@@ -2,8 +2,6 @@ package sim_test
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -22,6 +20,9 @@ func resumeTrace(t *testing.T, n int) *trace.Trace {
 	return w.GenerateSeeded(n, w.Seed)
 }
 
+// TestCheckpointRunnerMatchesPlainRun: a run whose checkpoint sink is
+// attached (and fires at every boundary) produces the plain run's
+// result — snapshotting never perturbs the simulation.
 func TestCheckpointRunnerMatchesPlainRun(t *testing.T) {
 	tr := resumeTrace(t, 8000)
 	cfg := sim.DefaultConfig()
@@ -29,13 +30,30 @@ func TestCheckpointRunnerMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sim.NewRunner(cfg, sim.WithCheckpoint("", 0)).Run(tr, sim.FromPrefetcher(bo.New(bo.Config{}), 2))
+	cap := &capture{}
+	got, err := sim.NewRunner(cfg, sim.WithCheckpointSink(1000, cap.sink)).Run(tr, sim.FromPrefetcher(bo.New(bo.Config{}), 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("checkpoint-capable runner result differs from plain run:\nwant %+v\ngot  %+v", want, got)
 	}
+	if len(cap.blobs) != 7 {
+		t.Errorf("sink saw %d checkpoints, want 7 (every 1000 of 8000 records, none at the end)", len(cap.blobs))
+	}
+}
+
+// interruptAt runs until stop records have been processed in this
+// session (resuming from blob when non-nil) and returns the checkpoint
+// the interrupt handed to the sink.
+func interruptAt(t *testing.T, cfg sim.Config, tr *trace.Trace, src sim.Source, every, stop int, blob []byte) []byte {
+	t.Helper()
+	cap := &capture{}
+	_, err := sim.NewRunner(cfg, sim.WithCheckpointSink(every, cap.sink), sim.WithResumeBlob(blob), sim.WithStopAfter(stop)).Run(tr, src)
+	if !errors.Is(err, sim.ErrInterrupted) {
+		t.Fatalf("stop=%d: want ErrInterrupted, got %v", stop, err)
+	}
+	return cap.last()
 }
 
 // TestResumeDeterministicSolo interrupts a solo-prefetcher run at
@@ -51,12 +69,8 @@ func TestResumeDeterministicSolo(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, stop := range []int{700, 1600, 4096, 7999} {
-		ckp := filepath.Join(t.TempDir(), "run.ckpt")
-		_, err := sim.NewRunner(cfg, sim.WithCheckpoint(ckp, 1024), sim.WithStopAfter(stop)).Run(tr, mk())
-		if !errors.Is(err, sim.ErrInterrupted) {
-			t.Fatalf("stop=%d: want ErrInterrupted, got %v", stop, err)
-		}
-		got, err := sim.NewRunner(cfg, sim.WithCheckpoint(ckp, 0), sim.WithResume()).Run(tr, mk())
+		blob := interruptAt(t, cfg, tr, mk(), 1024, stop, nil)
+		got, err := sim.NewRunner(cfg, sim.WithResumeBlob(blob)).Run(tr, mk())
 		if err != nil {
 			t.Fatalf("stop=%d: resume: %v", stop, err)
 		}
@@ -76,14 +90,9 @@ func TestResumeTwoInterrupts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckp := filepath.Join(t.TempDir(), "run.ckpt")
-	if _, err := sim.NewRunner(cfg, sim.WithCheckpoint(ckp, 0), sim.WithStopAfter(2000)).Run(tr, mk()); !errors.Is(err, sim.ErrInterrupted) {
-		t.Fatalf("first stop: %v", err)
-	}
-	if _, err := sim.NewRunner(cfg, sim.WithCheckpoint(ckp, 0), sim.WithResume(), sim.WithStopAfter(3000)).Run(tr, mk()); !errors.Is(err, sim.ErrInterrupted) {
-		t.Fatalf("second stop: %v", err)
-	}
-	got, err := sim.NewRunner(cfg, sim.WithCheckpoint(ckp, 0), sim.WithResume()).Run(tr, mk())
+	first := interruptAt(t, cfg, tr, mk(), 0, 2000, nil)
+	second := interruptAt(t, cfg, tr, mk(), 0, 3000, first)
+	got, err := sim.NewRunner(cfg, sim.WithResumeBlob(second)).Run(tr, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,44 +101,33 @@ func TestResumeTwoInterrupts(t *testing.T) {
 	}
 }
 
+// TestResumeValidation: a checkpoint only resumes the run it was taken
+// from, and unparseable bytes are refused — every rejection is
+// ErrBadResume.
 func TestResumeValidation(t *testing.T) {
 	tr := resumeTrace(t, 4000)
 	cfg := sim.DefaultConfig()
-	ckp := filepath.Join(t.TempDir(), "run.ckpt")
 	mk := func() sim.Source { return sim.FromPrefetcher(stride.New(stride.Config{}), 2) }
-	if _, err := sim.NewRunner(cfg, sim.WithCheckpoint(ckp, 0), sim.WithStopAfter(1000)).Run(tr, mk()); !errors.Is(err, sim.ErrInterrupted) {
-		t.Fatal(err)
+	blob := interruptAt(t, cfg, tr, mk(), 0, 1000, nil)
+	resume := func(t *testing.T, blob []byte, tr *trace.Trace, src sim.Source, what string) {
+		t.Helper()
+		if _, err := sim.NewRunner(cfg, sim.WithResumeBlob(blob)).Run(tr, src); !errors.Is(err, sim.ErrBadResume) {
+			t.Errorf("resuming %s: err = %v, want ErrBadResume", what, err)
+		}
 	}
 
 	t.Run("wrong trace", func(t *testing.T) {
-		other := resumeTrace(t, 5000)
-		if _, err := sim.NewRunner(cfg, sim.WithCheckpoint(ckp, 0), sim.WithResume()).Run(other, mk()); err == nil {
-			t.Error("resuming on a different trace must fail")
-		}
+		resume(t, blob, resumeTrace(t, 5000), mk(), "on a different trace")
 	})
 	t.Run("wrong source", func(t *testing.T) {
-		src := sim.FromPrefetcher(bo.New(bo.Config{}), 2)
-		if _, err := sim.NewRunner(cfg, sim.WithCheckpoint(ckp, 0), sim.WithResume()).Run(tr, src); err == nil {
-			t.Error("resuming with a different source must fail")
-		}
+		resume(t, blob, tr, sim.FromPrefetcher(bo.New(bo.Config{}), 2), "with a different source")
 	})
-	t.Run("corrupt file", func(t *testing.T) {
-		data, err := os.ReadFile(ckp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/2] ^= 0xFF
-		bad := filepath.Join(t.TempDir(), "bad.ckpt")
-		if err := os.WriteFile(bad, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sim.NewRunner(cfg, sim.WithCheckpoint(bad, 0), sim.WithResume()).Run(tr, mk()); err == nil {
-			t.Error("resuming from a corrupt checkpoint must fail")
-		}
+	t.Run("corrupt bytes", func(t *testing.T) {
+		bad := append([]byte(nil), blob...)
+		bad[len(bad)/2] ^= 0xFF
+		resume(t, bad, tr, mk(), "from a corrupt checkpoint")
 	})
-	t.Run("missing file", func(t *testing.T) {
-		if _, err := sim.NewRunner(cfg, sim.WithCheckpoint(filepath.Join(t.TempDir(), "none.ckpt"), 0), sim.WithResume()).Run(tr, mk()); err == nil {
-			t.Error("resuming from a missing checkpoint must fail")
-		}
+	t.Run("empty blob", func(t *testing.T) {
+		resume(t, []byte{}, tr, mk(), "from an empty checkpoint")
 	})
 }

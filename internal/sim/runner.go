@@ -11,12 +11,9 @@ import (
 // settings holds the resolved functional-option values of a Runner.
 type settings struct {
 	tel        *telemetry.Collector
-	ckpPath    string
-	ckpEvery   int
 	ckpSink    func(blob []byte, cursor int) error
-	sinkEvery  int
+	ckpEvery   int
 	ckpScope   string
-	resume     bool
 	resumeBlob []byte
 	interrupt  *atomic.Bool
 	stopAfter  int
@@ -38,29 +35,17 @@ func WithTelemetry(tel *telemetry.Collector) Option {
 	return func(s *settings) { s.tel = tel }
 }
 
-// WithCheckpoint snapshots the run state to path (atomically) every
-// `every` trace records and on interrupt. The boundary condition is on
-// the absolute trace position, so a resumed run checkpoints at the
-// same points as an uninterrupted one. every <= 0 checkpoints only on
-// interrupt.
-func WithCheckpoint(path string, every int) Option {
-	return func(s *settings) { s.ckpPath, s.ckpEvery = path, every }
-}
-
-// WithResume loads the WithCheckpoint file before running and
-// continues from its cursor instead of record zero.
-func WithResume() Option {
-	return func(s *settings) { s.resume = true }
-}
-
 // WithCheckpointSink hands the serialized checkpoint container to sink
-// every `every` trace records and on interrupt, instead of (or in
-// addition to) a checkpoint file — the hook a durable artifact store
-// uses to capture run snapshots. Like WithCheckpoint, the boundary is
-// on the absolute trace position; every <= 0 snapshots only on
-// interrupt. The sink must not retain blob past its return.
+// every `every` trace records and on interrupt — the one checkpoint
+// transport: the artifact store and the CLI's checkpoint file are both
+// sinks. The boundary condition is on the absolute trace position, so
+// a resumed run checkpoints at the same points as an uninterrupted
+// one; every <= 0 snapshots only on interrupt. A sink error aborts the
+// run; sinks that treat a failed write as lost durability rather than
+// a failed run report it themselves and return nil. The sink must not
+// retain blob past its return.
 func WithCheckpointSink(every int, sink func(blob []byte, cursor int) error) Option {
-	return func(s *settings) { s.ckpSink, s.sinkEvery = sink, every }
+	return func(s *settings) { s.ckpSink, s.ckpEvery = sink, every }
 }
 
 // WithCheckpointScope stamps checkpoints with an opaque run-identity
@@ -74,9 +59,9 @@ func WithCheckpointScope(scope string) Option {
 	return func(s *settings) { s.ckpScope = scope }
 }
 
-// WithResumeBlob resumes from a serialized checkpoint container held
-// in memory (e.g. fetched from the artifact store) instead of a file.
-// Takes precedence over WithResume when both are set. Any parse or
+// WithResumeBlob resumes from serialized checkpoint container bytes
+// (fetched from the artifact store, or read from a checkpoint file)
+// and continues from their cursor instead of record zero. Any parse or
 // validation failure is reported wrapped in ErrBadResume, after which
 // the Simulator and source state are unspecified — the caller must
 // rebuild fresh components and run from scratch.
@@ -100,7 +85,8 @@ func WithFaults(plan func(prefetch.Prefetcher) prefetch.Prefetcher) Option {
 }
 
 // WithInterrupt polls flag after every record; when it becomes true
-// the run writes a final checkpoint (if WithCheckpoint is configured)
+// the run hands a final checkpoint to the WithCheckpointSink sink (if
+// one is configured)
 // and returns ErrInterrupted. Signal handlers set it asynchronously.
 func WithInterrupt(flag *atomic.Bool) Option {
 	return func(s *settings) { s.interrupt = flag }
@@ -198,10 +184,10 @@ func (r *Runner) WrapAll(ps []prefetch.Prefetcher) []prefetch.Prefetcher {
 
 // Run simulates the trace with the given prefetch source (nil — or any
 // source under WithBaseline — for no prefetching) and returns the
-// measured-region result. With WithCheckpoint/WithResume the run
-// snapshots and restores state at record boundaries; on interrupt
-// (WithInterrupt/WithStopAfter) it writes a final checkpoint and
-// returns ErrInterrupted wrapped with position info.
+// measured-region result. With WithCheckpointSink/WithResumeBlob the
+// run snapshots and restores state at record boundaries; on interrupt
+// (WithInterrupt/WithStopAfter) it hands a final checkpoint to the sink
+// and returns ErrInterrupted wrapped with position info.
 //
 // Determinism contract: interrupting a run at any record boundary and
 // resuming it from the written checkpoint produces byte-identical
@@ -248,18 +234,9 @@ func (r *Runner) Run(tr *trace.Trace, src Source) (Result, error) {
 	}
 
 	start := 0
-	switch {
-	case r.set.resumeBlob != nil:
+	if r.set.resumeBlob != nil {
 		lsp := runSpan.Child("checkpoint.load")
 		cursor, err := s.loadCheckpointBlob(r.set.resumeBlob, tr, src, name, r.set.tel, r.set.ckpScope)
-		lsp.End()
-		if err != nil {
-			return Result{}, err
-		}
-		start = cursor
-	case r.set.resume:
-		lsp := runSpan.Child("checkpoint.load")
-		cursor, err := s.loadCheckpoint(r.set.ckpPath, tr, src, name, r.set.tel, r.set.ckpScope)
 		lsp.End()
 		if err != nil {
 			return Result{}, err

@@ -11,7 +11,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -128,11 +127,15 @@ func TestResumeDeterminism(t *testing.T) {
 	}
 
 	for _, stop := range []int{900, 3500} { // before and after warmup end
-		ckp := filepath.Join(t.TempDir(), "run.ckpt")
+		// The first session's last checkpoint is the interrupt's; the
+		// resumed session keeps checkpointing on the same grid.
+		var blob []byte
+		keep := func(b []byte, _ int) error { blob = append([]byte(nil), b...); return nil }
+		discard := func([]byte, int) error { return nil }
 
 		tel1, sink1, tr1, src1 := resumableSetup(t, accesses)
 		_, err := sim.NewRunner(simCfg,
-			sim.WithTelemetry(tel1), sim.WithCheckpoint(ckp, 1000), sim.WithStopAfter(stop),
+			sim.WithTelemetry(tel1), sim.WithCheckpointSink(1000, keep), sim.WithStopAfter(stop),
 		).Run(tr1, src1)
 		if !errors.Is(err, sim.ErrInterrupted) {
 			t.Fatalf("stop=%d: want ErrInterrupted, got %v", stop, err)
@@ -140,7 +143,7 @@ func TestResumeDeterminism(t *testing.T) {
 
 		tel2, sink2, tr2, src2 := resumableSetup(t, accesses)
 		gotRes, err := sim.NewRunner(simCfg,
-			sim.WithTelemetry(tel2), sim.WithCheckpoint(ckp, 1000), sim.WithResume(),
+			sim.WithTelemetry(tel2), sim.WithCheckpointSink(1000, discard), sim.WithResumeBlob(blob),
 		).Run(tr2, src2)
 		if err != nil {
 			t.Fatalf("stop=%d: resume: %v", stop, err)

@@ -47,8 +47,9 @@ type RecorderConfig struct {
 	// ProfileDir, when set, makes manual captures (CaptureProfiled)
 	// profile the process: each writes incident-<seq>/ under it holding
 	// a post-GC heap.pprof and, given a CPU window, a cpu.pprof. A
-	// directory lives exactly as long as its incident is retained.
-	// Automatic triggers never profile.
+	// directory lives exactly as long as its incident is retained;
+	// incident-* directories an earlier process left are removed before
+	// the first profile is written. Automatic triggers never profile.
 	ProfileDir string
 }
 
@@ -131,6 +132,9 @@ type FlightRecorder struct {
 	// by the next profiled capture so eviction by an automatic trigger
 	// does no file I/O under the trigger site's locks.
 	stale []string
+	// sweep clears ProfileDir of a previous process's incident
+	// directories before the first profile is written.
+	sweep sync.Once
 	// openHeap opens the heap profile sink (os.Create; tests inject
 	// failing writers).
 	openHeap func(path string) (io.WriteCloser, error)
@@ -231,6 +235,7 @@ func (r *FlightRecorder) CaptureProfiled(trigger, detail string, cpu time.Durati
 	if r == nil || r.cfg.ProfileDir == "" {
 		return r.Capture(trigger, detail)
 	}
+	r.sweep.Do(r.sweepProfileDir)
 	// The seq names the directory, so it is taken before the window;
 	// retain files the incident in seq order regardless.
 	r.mu.Lock()
@@ -249,6 +254,19 @@ func (r *FlightRecorder) CaptureProfiled(trigger, detail string, cpu time.Durati
 		_ = os.RemoveAll(dir) // best effort: a leftover directory is not evidence lost
 	}
 	return inc
+}
+
+// sweepProfileDir removes every incident-* directory under ProfileDir.
+// It runs once, before this recorder writes its first profile, when
+// its ring holds no profile directories yet: whatever is there belongs
+// to an earlier process on the same directory, whose seqs would
+// collide with this one's and which nothing else would ever evict. The
+// directories on disk then stay exactly the ring's evidence.
+func (r *FlightRecorder) sweepProfileDir() {
+	dirs, _ := filepath.Glob(filepath.Join(r.cfg.ProfileDir, "incident-*"))
+	for _, dir := range dirs {
+		_ = os.RemoveAll(dir) // best effort, like eviction
+	}
 }
 
 // retain files inc in the incident ring in seq order (assigning the

@@ -46,6 +46,39 @@ func TestFlightRecorderProfileRingFollowsIncidents(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderProfileDirSweptOnRestart: a restarted process
+// (a second recorder on the same ProfileDir, whose seqs start over)
+// neither writes into nor leaves behind the first process's
+// directories — after two captures by the first and one by the second,
+// only the second's directory remains.
+func TestFlightRecorderProfileDirSweptOnRestart(t *testing.T) {
+	dir := t.TempDir()
+	first := telemetry.NewFlightRecorder(telemetry.RecorderConfig{ProfileDir: dir}, nil, nil)
+	for i := 0; i < 2; i++ {
+		if inc := first.CaptureProfiled("manual", "", 0); inc.Profile == nil || inc.Profile.Error != "" {
+			t.Fatalf("first recorder capture %d profile = %+v", i, inc.Profile)
+		}
+	}
+	if got := incidentDirs(t, dir); len(got) != 2 {
+		t.Fatalf("first recorder left %v, want two directories", got)
+	}
+	second := telemetry.NewFlightRecorder(telemetry.RecorderConfig{ProfileDir: dir}, nil, nil)
+	inc := second.CaptureProfiled("manual", "", 0)
+	if inc.Profile == nil || inc.Profile.Error != "" {
+		t.Fatalf("second recorder profile = %+v", inc.Profile)
+	}
+	if got := incidentDirs(t, dir); len(got) != 1 || got[0] != inc.Profile.Dir {
+		t.Fatalf("incident dirs %v, want only the second recorder's %s", got, inc.Profile.Dir)
+	}
+	files, err := os.ReadDir(inc.Profile.Dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 1 || files[0].Name() != "heap.pprof" {
+		t.Errorf("second recorder's directory holds %v, want only its own heap.pprof", files)
+	}
+}
+
 // TestFlightRecorderProfileHeapFailureLeavesNoDir: a heap sink failing
 // part-way is reported in the bundle, the incident is still retained,
 // and no directory is left behind.

@@ -1,12 +1,8 @@
 package trace
 
 import (
-	"bytes"
 	"container/list"
-	"fmt"
 	"sync"
-
-	"resemble/internal/cas"
 )
 
 // recordBytes approximates the in-memory footprint of one Record
@@ -47,22 +43,16 @@ type cacheEntry struct {
 //
 // Traces returned by Get must be treated as immutable: the simulator
 // and all prefetch sources only read Records, which is what makes the
-// sharing safe.
-// A Cache may additionally be backed by a content-addressed artifact
-// store (AttachStore): on a memory miss the singleflight consults the
-// store before generating, and freshly generated traces are written
-// back — so identical workloads generate once per *machine*, not once
-// per process, and survive restarts.
+// sharing safe. There is deliberately no disk tier: generating a
+// trace costs about as much as reading it back from disk.
 type Cache struct {
 	mu       sync.Mutex
 	maxBytes int64
 	curBytes int64
 	entries  map[cacheKey]*cacheEntry
 	lru      *list.List // front = most recently used; values are cacheKey
-	store    *cas.Store
 
-	hits, misses, evictions                      int64
-	storeHits, storeMisses, storePuts, storeErrs int64
+	hits, misses, evictions int64
 }
 
 // NewCache builds a cache bounded to approximately maxBytes of trace
@@ -111,18 +101,11 @@ func (c *Cache) Get(w Workload, n int, seed int64) *Trace {
 	c.misses++
 	e := &cacheEntry{ready: make(chan struct{})}
 	c.entries[key] = e
-	store := c.store
 	c.mu.Unlock()
 
-	// Fill outside the lock: other keys proceed in parallel, and
-	// same-key callers block on e.ready above. The store tier is
-	// consulted inside the flight, so a store fetch also happens at
-	// most once per key.
-	tr := c.fromStore(store, key)
-	if tr == nil {
-		tr = w.GenerateSeeded(n, seed)
-		c.toStore(store, key, tr)
-	}
+	// Generate outside the lock: other keys proceed in parallel, and
+	// same-key callers block on e.ready above.
+	tr := w.GenerateSeeded(n, seed)
 
 	c.mu.Lock()
 	e.tr = tr
@@ -133,80 +116,6 @@ func (c *Cache) Get(w Workload, n int, seed int64) *Trace {
 	c.mu.Unlock()
 	close(e.ready)
 	return tr
-}
-
-// AttachStore backs the cache with a content-addressed artifact store.
-// Safe to call before concurrent use; a nil store detaches the tier.
-func (c *Cache) AttachStore(s *cas.Store) {
-	c.mu.Lock()
-	c.store = s
-	c.mu.Unlock()
-}
-
-// storeTag names a trace in the artifact store. The workload name, the
-// access count and the seed pin the exact byte content (workloads are
-// registered once per name), mirroring cacheKey.
-func storeTag(key cacheKey) string {
-	return fmt.Sprintf("trace/%s/%d/%d", key.name, key.n, key.seed)
-}
-
-// fromStore tries the artifact-store tier; nil means miss (or no store
-// attached). A corrupt blob is already quarantined by the store; the
-// caller falls through to generation, which repopulates it.
-func (c *Cache) fromStore(store *cas.Store, key cacheKey) *Trace {
-	if store == nil {
-		return nil
-	}
-	id, ok := store.Resolve(storeTag(key))
-	if !ok {
-		c.mu.Lock()
-		c.storeMisses++
-		c.mu.Unlock()
-		return nil
-	}
-	data, _, err := store.Get(id)
-	if err != nil {
-		c.mu.Lock()
-		c.storeErrs++
-		c.mu.Unlock()
-		return nil
-	}
-	tr, err := Read(bytes.NewReader(data))
-	if err != nil || tr.Name != key.name || len(tr.Records) != key.n {
-		// The blob hashed correctly but is not the trace the tag
-		// promised (e.g. a tag pointed at the wrong artifact): drop the
-		// lie and regenerate.
-		_, _ = store.Untag(storeTag(key))
-		c.mu.Lock()
-		c.storeErrs++
-		c.mu.Unlock()
-		return nil
-	}
-	c.mu.Lock()
-	c.storeHits++
-	c.mu.Unlock()
-	return tr
-}
-
-// toStore writes a freshly generated trace back to the store tier,
-// best-effort: a full disk must not fail trace generation.
-func (c *Cache) toStore(store *cas.Store, key cacheKey, tr *Trace) {
-	if store == nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err == nil {
-		_, err = store.PutTagged(cas.KindTrace, buf.Bytes(), storeTag(key))
-		if err == nil {
-			c.mu.Lock()
-			c.storePuts++
-			c.mu.Unlock()
-			return
-		}
-	}
-	c.mu.Lock()
-	c.storeErrs++
-	c.mu.Unlock()
 }
 
 // evict drops least-recently-used completed entries until the cache
@@ -226,16 +135,11 @@ func (c *Cache) evict() {
 	}
 }
 
-// CacheStats is a point-in-time snapshot of cache effectiveness. The
-// Store* counters cover the artifact-store tier (zero when detached):
-// a StoreHit is a memory miss served from the store without
-// regeneration.
+// CacheStats is a point-in-time snapshot of cache effectiveness.
 type CacheStats struct {
 	Hits, Misses, Evictions int64
 	Entries                 int
 	Bytes                   int64
-
-	StoreHits, StoreMisses, StorePuts, StoreErrors int64
 }
 
 // Stats returns current counters and occupancy.
@@ -245,7 +149,5 @@ func (c *Cache) Stats() CacheStats {
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 		Entries: c.lru.Len(), Bytes: c.curBytes,
-		StoreHits: c.storeHits, StoreMisses: c.storeMisses,
-		StorePuts: c.storePuts, StoreErrors: c.storeErrs,
 	}
 }

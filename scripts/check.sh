@@ -33,7 +33,7 @@ echo "== flight recorder + metrics history + trace stitching (race-enabled quick
 # jobs=N stitched span-tree equality contract.
 go test -race -count 1 -run 'FlightRecorder|MetricsHistory|AnchorSpans|AdoptSpans|SpanRefHeader' ./internal/telemetry/
 go test -race -count 1 -run 'Stitched|Incident|FleetBundle|HedgeOutcome|MetricsHistory' ./internal/cluster/
-go test -race -count 1 -run 'Incident|MetricsHistory|InboundTraceContext' ./internal/service/
+go test -race -count 1 -run 'Incident|MetricsHistory|InboundTraceContext|RequestSpans' ./internal/service/
 
 echo "== go test -race (parallel engine, trace cache) =="
 go test -race -short ./internal/experiments/... ./internal/trace/...
